@@ -1,15 +1,14 @@
 // Fresh-vs-warm engine A/B for the short-run sweep regime (PR 5).
 //
 // sweep_multigroup runs MANY short simulations; before warm reuse each
-// one paid full Engine construction (kernel, slabs, calendar arrays,
+// one paid full Engine construction (kernel, slabs, pending heap,
 // mailbox rings) plus the first-run arena growth.  These benchmarks pin
 // the reuse win: the plain names run one engine kept warm across
 // iterations (Engine::reset / Simulator::reset_discarding between runs —
 // the sweep's code path), the `Fresh` twins construct a new engine per
 // iteration (the pre-PR-5 code path).  Both sides of a pair run in the
-// same session, so the pair ratio is runner-speed immune — the same
-// trick the calendar/Heap pairs use, gated by bench_compare.py
-// --ab-suffix Fresh.
+// same session, so the pair ratio is runner-speed immune, gated by
+// bench_compare.py --ab-suffix Fresh.
 //
 // The argument is the number of events per simulated run: 512 is the
 // setup-dominated regime the ISSUE targets, 8192 shows the win fading as

@@ -98,7 +98,7 @@ Engine::Engine(EngineConfig config) : config_(std::move(config)) {
   // batch flavour sees the round's whole sorted message array — a single
   // nondecreasing deliver_at run — and turns it into chunked
   // schedule_batch calls: sequence numbers land in the same sorted order
-  // the per-message handler would assign, one calendar touch per chunk.
+  // the per-message handler would assign, one pending-set touch per chunk.
   ShardBatchMsgHandler on_batch =
       [this](Shard& shard, const CrossShardMsg* msgs, std::size_t count) {
         const detail::ContextBackend* b = &backends_[shard.index()];

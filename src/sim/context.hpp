@@ -6,7 +6,7 @@
 // — instead of holding a concrete `Simulator&`.  The same component code
 // then runs unchanged on the single-threaded kernel and inside one shard
 // of a ShardedSimulator: scheduling always targets the *local* kernel (a
-// shard's kernel IS a full BasicSimulator, so schedule_in/at compile to
+// shard's kernel IS a full Simulator, so schedule_in/at compile to
 // the exact same inlined push with zero extra dispatch), and the one
 // genuinely location-dependent operation — handing a packet to another
 // host — goes through `deliver()`, which resolves the destination:
@@ -104,7 +104,7 @@ class SimContext {
   Time now() const { return sim_->now(); }
 
   /// Schedule fn at now()+delay on the local kernel (see
-  /// BasicSimulator::schedule_in for the zero-allocation contract).
+  /// Simulator::schedule_in for the zero-allocation contract).
   template <typename F>
   EventHandle schedule_in(Time delay, F&& fn) const {
     return sim_->schedule_in(delay, std::forward<F>(fn));
@@ -116,8 +116,8 @@ class SimContext {
     return sim_->schedule_at(t, std::forward<F>(fn));
   }
 
-  /// Batch-schedule `count` events on the local kernel with one calendar
-  /// touch per monotone time run (see BasicSimulator::schedule_batch).
+  /// Batch-schedule `count` events on the local kernel with one
+  /// pending-set touch per call (see Simulator::schedule_batch).
   /// make(i) returns the i-th event's callable; batch events are not
   /// individually cancellable.  Timer trains (periodic sources) use this
   /// to amortise the per-event queue walk.
@@ -197,7 +197,7 @@ class SimContext {
   /// (sequence numbers are assigned in index order) and remote arrivals
   /// keep their per-mailbox post order — but consecutive same-destination
   /// runs cost one kernel/mailbox touch each: a local run becomes one
-  /// schedule_batch (one calendar touch per monotone time run), a remote
+  /// schedule_batch (one pending-set touch), a remote
   /// run one Shard::post_batch (one ring publish + one spill check).
   /// Models fanning a packet out to many children (the multigroup
   /// forward path) fill a small DeliveryItem array and call this.

@@ -1,7 +1,7 @@
 #pragma once
 // One shard of a sharded simulation: a partition of the model owning its
-// own discrete-event kernel (a full BasicSimulator over the calendar-queue
-// EventQueue), plus the outgoing side of the cross-shard mailboxes.
+// own discrete-event kernel (a full Simulator over its own EventQueue),
+// plus the outgoing side of the cross-shard mailboxes.
 //
 // Model code running inside a shard schedules local events through sim()
 // exactly as in a single-threaded simulation; a handoff whose destination

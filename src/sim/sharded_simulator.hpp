@@ -1,6 +1,6 @@
 #pragma once
 // Sharded parallel simulation: N shards — each a full single-threaded
-// discrete-event kernel over its own calendar-queue pending set — advanced
+// discrete-event kernel over its own pending set — advanced
 // in lockstep rounds under conservative time-window synchronisation.
 //
 // The classic conservative-PDES argument (cf. UNISON-for-ns-3): if every

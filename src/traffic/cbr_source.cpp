@@ -19,7 +19,7 @@ void CbrSource::start(sim::SimContext ctx, PacketSink sink, Time until) {
 }
 
 void CbrSource::schedule_train(sim::SimContext ctx, Time first, Time until) {
-  // The next `batch` tick events in one calendar touch.  Tick times
+  // The next `batch` tick events in one pending-set touch.  Tick times
   // accumulate sequentially (t_{n+1} = t_n + interval), NOT as
   // first + i*interval, so the emission instants are bit-identical to
   // the one-event-at-a-time chain this replaces.

@@ -58,7 +58,7 @@ void MpegVideoSource::start(sim::SimContext ctx, PacketSink sink, Time until) {
 
 void MpegVideoSource::schedule_train(sim::SimContext ctx, Time first,
                                      Time until) {
-  // The next `batch` frame ticks in one calendar touch.  Tick times
+  // The next `batch` frame ticks in one pending-set touch.  Tick times
   // accumulate sequentially (t_{n+1} = t_n + frame_interval), matching
   // the per-event chain bit for bit; frame sizes still draw from the RNG
   // at fire time, in frame order, so the sample sequence is unchanged.

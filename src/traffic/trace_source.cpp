@@ -62,7 +62,7 @@ void TraceSource::start(sim::SimContext ctx, PacketSink sink, Time until) {
 void TraceSource::schedule_train(sim::SimContext ctx, Time until) {
   // The next `batch` distinct replay instants, discovered with a
   // lookahead COPY of the cursor (no records consumed — the live cursor
-  // still feeds emit in order), scheduled in one calendar touch.  The
+  // still feeds emit in order), scheduled in one pending-set touch.  The
   // instants are the records' own timestamps, so batching cannot perturb
   // them; instants past `until` never enter the batch, mirroring the
   // old chain's stop condition.

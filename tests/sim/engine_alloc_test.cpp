@@ -45,32 +45,21 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace emcast::sim {
 
-/// White-box view of the queue's arenas.  The overflow heap grows through
+/// White-box view of the queue's arenas.  The pending heap grows through
 /// std::aligned_alloc, which the counting operator new above cannot see,
-/// so the steady-state proof additionally pins every calendar arena (node
-/// pool, bucket heads, sort staging, overflow buffer) and the slab block
-/// count across the churn.
+/// so the steady-state proof additionally pins the heap buffer, the slab
+/// block count and the slot count across the churn.
 class EventQueueTestPeer {
  public:
   struct Arenas {
-    const void* pool;
-    std::size_t pool_cap;
-    std::size_t heads_cap;
-    std::size_t scratch_cap;
-    const void* overflow;
-    std::size_t overflow_cap;
+    const void* heap;
+    std::size_t heap_cap;
     std::size_t slab_blocks;
     std::size_t slots;
     bool operator==(const Arenas&) const = default;
   };
   static Arenas arenas(const EventQueue& q) {
-    const CalendarPendingSet& cal = q.pending_policy();
-    return Arenas{cal.pool_data(),
-                  cal.pool_capacity(),
-                  cal.heads_capacity(),
-                  cal.scratch_capacity(),
-                  cal.overflow().buffer(),
-                  cal.overflow().capacity(),
+    return Arenas{q.pending_.buffer(), q.pending_.capacity(),
                   q.compact_slabs_.size() + q.fat_slabs_.size(),
                   q.occupant_[0].size() + q.occupant_[1].size()};
   }
@@ -112,39 +101,6 @@ TEST(EngineAllocation, PushPopCancelChurnIsAllocationFree) {
       << "event queue steady state must not allocate";
   EXPECT_TRUE(EventQueueTestPeer::arenas(q) == arenas_before)
       << "heap buffer / slab arenas must not grow or move in steady state";
-}
-
-TEST(EngineAllocation, HeapPolicyChurnIsAllocationFree) {
-  // The heap fallback policy keeps the same steady-state guarantee.
-  HeapEventQueue q;
-  constexpr int kOutstanding = 1000;
-  std::vector<EventHandle> handles(kOutstanding);
-  for (int i = 0; i < kOutstanding; ++i) {
-    handles[static_cast<std::size_t>(i)] =
-        q.push(static_cast<double>(i), [] {});
-  }
-  for (int i = 0; i < kOutstanding; i += 2) {
-    handles[static_cast<std::size_t>(i)].cancel();
-  }
-  while (!q.empty()) q.pop().fn();
-
-  const std::size_t before = g_allocations.load();
-  const void* buffer = q.pending_policy().buffer();
-  const std::size_t cap = q.pending_policy().capacity();
-  double clock = static_cast<double>(kOutstanding);
-  for (int round = 0; round < 10; ++round) {
-    for (int i = 0; i < kOutstanding; ++i) {
-      handles[static_cast<std::size_t>(i)] = q.push(clock + i, [] {});
-    }
-    for (int i = 0; i < kOutstanding; i += 2) {
-      handles[static_cast<std::size_t>(i)].cancel();
-    }
-    while (!q.empty()) q.pop().fn();
-    clock += kOutstanding;
-  }
-  EXPECT_EQ(g_allocations.load(), before);
-  EXPECT_EQ(q.pending_policy().buffer(), buffer);
-  EXPECT_EQ(q.pending_policy().capacity(), cap);
 }
 
 TEST(EngineAllocation, ShardedSteadyStateIsAllocationFreeAndArenasPinned) {
@@ -267,43 +223,10 @@ TEST(EngineAllocation, SimContextDeliverSteadyStateIsAllocationFree) {
       << "the workload must actually exercise the spill path";
 }
 
-TEST(EngineAllocation, SmallModeChurnIsAllocationFree) {
-  // The size-adaptive pending set below the small-mode threshold: pure
-  // heap-path churn through the calendar policy must stay allocation-free
-  // and must never touch (allocate) the bucket arrays.
-  EventQueue q;
-  constexpr int kOutstanding = 500;  // below kSmallModeMin -> heap mode
-  std::vector<EventHandle> handles(kOutstanding);
-  for (int i = 0; i < kOutstanding; ++i) {
-    handles[static_cast<std::size_t>(i)] =
-        q.push(static_cast<double>(i), [] {});
-  }
-  while (!q.empty()) q.pop().fn();
-
-  const std::size_t before = g_allocations.load();
-  double clock = static_cast<double>(kOutstanding);
-  for (int round = 0; round < 10; ++round) {
-    for (int i = 0; i < kOutstanding; ++i) {
-      handles[static_cast<std::size_t>(i)] = q.push(clock + i, [] {});
-    }
-    for (int i = 0; i < kOutstanding; i += 2) {
-      handles[static_cast<std::size_t>(i)].cancel();
-    }
-    while (!q.empty()) q.pop().fn();
-    clock += kOutstanding;
-  }
-  EXPECT_EQ(g_allocations.load(), before);
-  EXPECT_TRUE(q.pending_policy().small_mode());
-  EXPECT_EQ(q.pending_policy().bucket_count(), 0u)
-      << "small-mode churn must leave the bucket machinery untouched";
-}
-
 TEST(EngineAllocation, WarmResetSecondRunIsAllocationFree) {
   // The warm-reuse contract (PR 5): after one run grows the working set,
   // reset_discarding() plus an identical second run allocate NOTHING —
-  // the reset itself included — and every calendar arena stays pinned.
-  // The workload exceeds the small-mode threshold, so the second run
-  // re-promotes into the calendar layout from retained arrays.
+  // the reset itself included.
   Simulator sim;
   constexpr int kOutstanding = 3000;
   auto workload = [&sim] {
@@ -506,11 +429,10 @@ TEST(EngineAllocation, TraceReplaySteadyStateIsAllocationFree) {
 TEST(EngineAllocation, BatchPushChurnIsAllocationFree) {
   // The batch scheduling path (PR 8): push_batch stages entries in the
   // queue's reusable staging buffer and hands them to the pending set in
-  // monotone runs.  After a warm-up that grows the staging buffer to the
-  // largest batch ever used (and promotes the calendar out of small
-  // mode), sustained batch churn — sorted trains, descending batches that
-  // split into runs, and far-tail entries into the overflow year — must
-  // allocate nothing and leave every arena pinned.
+  // one call.  After a warm-up that grows the staging buffer to the
+  // largest batch ever used, sustained batch churn — sorted trains,
+  // descending batches and far-tail entries — must allocate nothing and
+  // leave every arena pinned.
   EventQueue q;
   constexpr std::size_t kBatch = 64;
   constexpr int kRounds = 40;
@@ -526,7 +448,7 @@ TEST(EngineAllocation, BatchPushChurnIsAllocationFree) {
       fill(clock, round % 3 == 2);
       q.push_batch(times, kBatch, [](std::size_t) { return [] {}; });
       if (round % 4 == 0) {
-        // Far-tail pair: exercises the overflow-year tail of insert_run.
+        // Far-tail pair, interleaved with the near-term trains.
         const double far[2] = {clock + 1e7, clock + 1e7 + 1.0};
         q.push_batch(far, 2, [](std::size_t) { return [] {}; });
       }
@@ -536,9 +458,7 @@ TEST(EngineAllocation, BatchPushChurnIsAllocationFree) {
     }
     while (!q.empty()) q.pop().fn();
   };
-  // Warm-up: grow the staging buffer, slabs, calendar arrays and the
-  // overflow heap once.  A seed burst leaves small mode so the churn
-  // below runs on the calendar fast path.
+  // Warm-up: grow the staging buffer, slabs and the pending heap once.
   for (int i = 0; i < 2000; ++i) q.push(0.001 * i, [] {});
   while (!q.empty()) q.pop().fn();
   churn(2.0);
@@ -549,7 +469,7 @@ TEST(EngineAllocation, BatchPushChurnIsAllocationFree) {
   EXPECT_EQ(g_allocations.load(), before)
       << "push_batch steady state must not allocate";
   EXPECT_TRUE(EventQueueTestPeer::arenas(q) == arenas_before)
-      << "batch staging / calendar arenas must not grow or move";
+      << "batch staging / heap arenas must not grow or move";
 }
 
 TEST(EngineAllocation, BatchSourceTrainSteadyStateIsAllocationFree) {

@@ -1,5 +1,5 @@
 // Warm-reuse contract of the kernel stack (PR 5): EventQueue::clear,
-// BasicSimulator::reset/reset_discarding, ShardedSimulator::reset and
+// Simulator::reset/reset_discarding, ShardedSimulator::reset and
 // Engine::reset keep every arena warm while rewinding all run state, and
 // the misuse guards — reset while events pending, reset mid-run, handles
 // from a pre-reset epoch — reject or stay safe exactly as documented.
@@ -66,20 +66,17 @@ TEST(EventQueueClear, PreClearEpochHandleIsPermanentlyStale) {
   EXPECT_TRUE(fired);
 }
 
-TEST(EventQueueClear, KeepsArenasWarmAndReturnsToSmallMode) {
+TEST(EventQueueClear, KeepsArenasWarm) {
   EventQueue q;
-  // Grow past the small-mode threshold so the calendar machinery exists.
   for (int i = 0; i < 3000; ++i) q.push(static_cast<double>(i), [] {});
-  ASSERT_FALSE(q.pending_policy().small_mode());
-  const std::size_t pool_cap = q.pending_policy().pool_capacity();
-  ASSERT_GT(pool_cap, 0u);
+  const void* heap = q.pending_set().buffer();
+  const std::size_t heap_cap = q.pending_set().capacity();
+  ASSERT_GE(heap_cap, 3000u);
   q.clear();
   EXPECT_TRUE(q.empty());
-  EXPECT_TRUE(q.pending_policy().small_mode())
-      << "clear returns to the fresh logical state (day width re-derived "
-         "lazily at the next promotion rebuild)";
-  EXPECT_EQ(q.pending_policy().pool_capacity(), pool_cap)
-      << "the node-pool arena must survive clear";
+  EXPECT_EQ(q.pending_set().buffer(), heap)
+      << "the heap buffer must survive clear";
+  EXPECT_EQ(q.pending_set().capacity(), heap_cap);
   // The warmed queue is immediately usable and pops in (time, seq) order.
   q.push(5.0, [] {});
   q.push(3.0, [] {});
@@ -87,7 +84,7 @@ TEST(EventQueueClear, KeepsArenasWarmAndReturnsToSmallMode) {
   EXPECT_EQ(q.pop().time, 5.0);
 }
 
-// ---- BasicSimulator::reset ----------------------------------------------
+// ---- Simulator::reset --------------------------------------------------
 
 TEST(SimulatorReset, StrictResetRejectsPendingEvents) {
   Simulator sim;

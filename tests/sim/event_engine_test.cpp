@@ -3,6 +3,7 @@
 // exhaustion, dead-entry compaction, and the ordering bit-tricks.
 
 #include <cstdint>
+#include <memory>
 #include <stdexcept>
 #include <vector>
 
@@ -12,18 +13,16 @@
 
 namespace emcast::sim {
 
-/// White-box access for the generation/compaction tests.  The handle and
-/// slot semantics live in EventQueueBase, so the same peer serves every
-/// pending-set policy.
+/// White-box access for the generation/compaction tests.
 class EventQueueTestPeer {
  public:
-  static void set_next_seq(EventQueueBase& q, std::uint64_t s) {
+  static void set_next_seq(EventQueue& q, std::uint64_t s) {
     q.next_seq_ = s;
   }
-  static std::uint64_t seq_limit() { return EventQueueBase::kSeqLimit; }
+  static std::uint64_t seq_limit() { return EventQueue::kSeqLimit; }
   static std::uint32_t slot_of(const EventHandle& h) { return h.slot_; }
   static std::uint64_t generation_of(const EventHandle& h) { return h.seq_; }
-  static std::size_t dead_pending(const EventQueueBase& q) {
+  static std::size_t dead_pending(const EventQueue& q) {
     return q.dead_pending_;
   }
 };
@@ -236,9 +235,9 @@ TEST(EventEngine, QueueDestructionWithCrossCancellingCapturesIsSafe) {
   // RAII-guard captures that cancel OTHER handles on destruction: during
   // queue teardown every capture destructor runs, and each cancel must
   // find the occupant words alive and already vacated (stale-handle
-  // no-op) — not freed memory, and never the compaction hook of a
-  // half-destroyed queue.  Enough events to cross the compaction floor if
-  // the cancels were (wrongly) honoured.
+  // no-op) — not freed memory, and never a compaction of a
+  // half-destroyed pending set.  Enough events to cross the compaction
+  // floor if the cancels were (wrongly) honoured.
   struct CrossCancel {
     std::vector<EventHandle>* all = nullptr;
     std::size_t other = 0;
@@ -252,21 +251,13 @@ TEST(EventEngine, QueueDestructionWithCrossCancellingCapturesIsSafe) {
     }
     void operator()() const {}
   };
-  for (int policy = 0; policy < 2; ++policy) {
-    std::vector<EventHandle> handles(300);
-    auto destroy_loaded = [&](auto queue) {
-      for (std::size_t i = 0; i < handles.size(); ++i) {
-        handles[i] = queue->push(1.0 + static_cast<double>(i),
-                                 CrossCancel{&handles, (i + 7) % 300});
-      }
-      queue.reset();  // must not touch freed occupants or the policy
-    };
-    if (policy == 0) {
-      destroy_loaded(std::make_unique<CalendarEventQueue>());
-    } else {
-      destroy_loaded(std::make_unique<HeapEventQueue>());
-    }
+  std::vector<EventHandle> handles(300);
+  auto queue = std::make_unique<EventQueue>();
+  for (std::size_t i = 0; i < handles.size(); ++i) {
+    handles[i] = queue->push(1.0 + static_cast<double>(i),
+                             CrossCancel{&handles, (i + 7) % 300});
   }
+  queue.reset();  // must not touch freed occupants or the pending set
 }
 
 TEST(EventEngine, ThrowingCopyDuringPushLeaksNoSlot) {

@@ -1,10 +1,14 @@
 #include "sim/event_queue.hpp"
 
+#include <algorithm>
 #include <cmath>
-
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#include "util/rng.hpp"
 
 namespace emcast::sim {
 namespace {
@@ -110,6 +114,264 @@ TEST(EventQueue, LargeVolumeStaysSorted) {
     auto e = q.pop();
     EXPECT_GE(e.time, prev);
     prev = e.time;
+  }
+}
+
+// ---- ordering contract against an independent reference ----------------
+//
+// Scripted push/pop/cancel workloads run through the queue and through a
+// plain reference model that orders live events with std::sort on
+// (time, seq) — double compares and push indices, none of the queue's
+// integer time keys or heap layout.  The fired (time, id) traces must be
+// identical for every workload shape.
+
+struct TraceEvent {
+  Time time;
+  int id;
+  bool operator==(const TraceEvent&) const = default;
+};
+
+/// One scripted operation, pre-generated so the queue and the reference
+/// see exactly the same sequence.
+struct Op {
+  enum Kind { kPush, kPop, kCancel } kind;
+  double time = 0.0;       // kPush
+  std::size_t victim = 0;  // kCancel: index into the handle log
+};
+
+/// Pop and run the earliest event; it appends its id to `trace`, and the
+/// fired time is patched in here.
+void fire_next(EventQueue& q, std::vector<TraceEvent>& trace) {
+  auto fired = q.pop();
+  const std::size_t at = trace.size();
+  fired.fn();
+  EXPECT_EQ(trace.size(), at + 1) << "event did not record itself";
+  trace.back().time = fired.time;
+}
+
+std::vector<TraceEvent> run_queue(const std::vector<Op>& ops) {
+  EventQueue q;
+  std::vector<TraceEvent> trace;
+  std::vector<EventHandle> handles;
+  int next_id = 0;
+  for (const Op& op : ops) {
+    switch (op.kind) {
+      case Op::kPush: {
+        const int id = next_id++;
+        handles.push_back(q.push(op.time, [&trace, id] {
+          trace.push_back(TraceEvent{0.0, id});  // time patched by fire_next
+        }));
+        break;
+      }
+      case Op::kPop:
+        if (!q.empty()) fire_next(q, trace);
+        break;
+      case Op::kCancel:
+        if (!handles.empty()) handles[op.victim % handles.size()].cancel();
+        break;
+    }
+  }
+  while (!q.empty()) fire_next(q, trace);
+  return trace;
+}
+
+std::vector<TraceEvent> run_reference(const std::vector<Op>& ops) {
+  // Live events as (time, id); the id is the push index, i.e. the
+  // scheduling order the sequence tie-break follows.
+  std::vector<TraceEvent> live;
+  std::vector<TraceEvent> trace;
+  const auto before = [](const TraceEvent& a, const TraceEvent& b) {
+    return a.time < b.time || (a.time == b.time && a.id < b.id);
+  };
+  const auto fire_earliest = [&] {
+    std::sort(live.begin(), live.end(), before);
+    // Report +0.0 for a -0.0 push, as the queue canonicalises zeros.
+    trace.push_back(TraceEvent{live.front().time + 0.0, live.front().id});
+    live.erase(live.begin());
+  };
+  int next_id = 0;
+  for (const Op& op : ops) {
+    switch (op.kind) {
+      case Op::kPush:
+        live.push_back(TraceEvent{op.time, next_id++});
+        break;
+      case Op::kPop:
+        if (!live.empty()) fire_earliest();
+        break;
+      case Op::kCancel: {
+        if (next_id == 0) break;
+        const int victim =
+            static_cast<int>(op.victim % static_cast<std::size_t>(next_id));
+        std::erase_if(live, [victim](const TraceEvent& e) {
+          return e.id == victim;  // no-op once fired or cancelled
+        });
+        break;
+      }
+    }
+  }
+  std::sort(live.begin(), live.end(), before);
+  for (const TraceEvent& e : live) trace.push_back({e.time + 0.0, e.id});
+  return trace;
+}
+
+std::vector<Op> random_workload(std::uint64_t seed, int n, double pop_bias,
+                                double cancel_bias, auto&& time_of) {
+  util::Rng rng(seed);
+  std::vector<Op> ops;
+  ops.reserve(static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    const double r = rng.uniform();
+    if (r < pop_bias) {
+      ops.push_back(Op{Op::kPop, 0.0, 0});
+    } else if (r < pop_bias + cancel_bias) {
+      ops.push_back(Op{Op::kCancel, 0.0,
+                       static_cast<std::size_t>(rng.uniform_int(0, 1 << 20))});
+    } else {
+      ops.push_back(Op{Op::kPush, time_of(rng), 0});
+    }
+  }
+  return ops;
+}
+
+std::vector<Op> descending_pushes() {
+  // Every push is a new global minimum.
+  std::vector<Op> ops;
+  for (int i = 0; i < 3000; ++i) ops.push_back(Op{Op::kPush, 3000.0 - i, 0});
+  return ops;
+}
+
+std::vector<Op> drain_refill_cycles() {
+  // Repeated full drains, each refill far past the previous horizon.
+  std::vector<Op> ops;
+  util::Rng rng(16);
+  double base = 0.0;
+  for (int round = 0; round < 20; ++round) {
+    const int burst = 5 + static_cast<int>(rng.uniform_int(0, 200));
+    for (int i = 0; i < burst; ++i) {
+      ops.push_back(Op{Op::kPush, base + rng.uniform(0.0, 50.0), 0});
+    }
+    for (int i = 0; i < burst + 5; ++i) ops.push_back(Op{Op::kPop, 0.0, 0});
+    base += 1e4;
+  }
+  return ops;
+}
+
+TEST(EventQueueOrder, MatchesSortedReference) {
+  struct Workload {
+    std::string name;
+    std::vector<Op> ops;
+  };
+  const std::vector<Workload> workloads = {
+      {"uniform push/pop/cancel",
+       random_workload(11, 6000, 0.3, 0.15,
+                       [](util::Rng& r) { return r.uniform(0.0, 1e3); })},
+      {"heavy simultaneity",  // few distinct timestamps: ties everywhere
+       random_workload(12, 4000, 0.25, 0.1,
+                       [](util::Rng& r) {
+                         return static_cast<double>(r.uniform_int(0, 7)) *
+                                2.5;
+                       })},
+      {"bursty",  // tight clusters spaced far apart
+       random_workload(13, 6000, 0.3, 0.1,
+                       [](util::Rng& r) {
+                         return static_cast<double>(r.uniform_int(0, 31)) *
+                                    1e3 +
+                                r.uniform(0.0, 1e-3);
+                       })},
+      {"far horizon",
+       random_workload(14, 6000, 0.3, 0.1,
+                       [](util::Rng& r) {
+                         return r.uniform() < 0.8 ? r.uniform(0.0, 10.0)
+                                                  : r.uniform(1e6, 1e9);
+                       })},
+      {"negative times and signed zeros",
+       random_workload(15, 3000, 0.25, 0.1,
+                       [](util::Rng& r) {
+                         const double t = r.uniform(-500.0, 500.0);
+                         return t < 1.0 && t > -1.0 ? (t < 0 ? -0.0 : +0.0)
+                                                    : t;
+                       })},
+      {"descending pushes", descending_pushes()},
+      {"drain/refill cycles", drain_refill_cycles()},
+  };
+  for (const Workload& w : workloads) {
+    SCOPED_TRACE(w.name);
+    const auto got = run_queue(w.ops);
+    const auto want = run_reference(w.ops);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      ASSERT_EQ(got[i], want[i]) << "divergence at event " << i;
+    }
+  }
+}
+
+// ---- push_batch ----------------------------------------------------------
+//
+// Contract: push_batch(times, n, make) is observably identical to n
+// sequential push() calls — same sequence numbers in index order, same
+// (time, seq) pop order — for any time pattern.
+
+struct BatchOp {
+  std::vector<double> times;  // one push_batch (or push-loop) call
+  int pops = 0;               // pops to perform after the pushes
+};
+
+std::vector<TraceEvent> run_batch_script(const std::vector<BatchOp>& ops,
+                                         bool batch) {
+  EventQueue q;
+  std::vector<TraceEvent> trace;
+  int next_id = 0;
+  const auto drain = [&q, &trace](int n) {
+    while (n-- > 0 && !q.empty()) fire_next(q, trace);
+  };
+  for (const BatchOp& op : ops) {
+    if (batch) {
+      q.push_batch(op.times.data(), op.times.size(),
+                   [&trace, next_id](std::size_t i) {
+                     const int id = next_id + static_cast<int>(i);
+                     return [&trace, id] {
+                       trace.push_back(TraceEvent{0.0, id});
+                     };
+                   });
+      next_id += static_cast<int>(op.times.size());
+    } else {
+      for (const double t : op.times) {
+        const int id = next_id++;
+        q.push(t, [&trace, id] { trace.push_back(TraceEvent{0.0, id}); });
+      }
+    }
+    drain(op.pops);
+  }
+  drain(1 << 30);
+  return trace;
+}
+
+TEST(EventQueueBatch, RandomBatchesMatchSequentialPushes) {
+  util::Rng rng(23);
+  std::vector<BatchOp> ops;
+  for (int round = 0; round < 60; ++round) {
+    BatchOp op;
+    const int m = static_cast<int>(rng.uniform_int(0, 80));
+    for (int i = 0; i < m; ++i) {
+      // Mostly near-term, an 8% far tail, and a sprinkle of duplicates
+      // for seq tie-breaks.
+      const double t = rng.uniform() < 0.92 ? rng.uniform(0.0, 10.0)
+                                            : rng.uniform(1e6, 1e9);
+      op.times.push_back(t);
+      if (rng.uniform() < 0.1) op.times.push_back(t);
+    }
+    // Pre-sort some batches: sorted trains are the hot production shape.
+    if (rng.uniform() < 0.5) {
+      std::sort(op.times.begin(), op.times.end());
+    }
+    op.pops = static_cast<int>(rng.uniform_int(0, 40));
+    ops.push_back(std::move(op));
+  }
+  const auto sequential = run_batch_script(ops, false);
+  const auto batched = run_batch_script(ops, true);
+  ASSERT_EQ(batched.size(), sequential.size());
+  for (std::size_t i = 0; i < sequential.size(); ++i) {
+    ASSERT_EQ(batched[i], sequential[i]) << "batch diverged at " << i;
   }
 }
 

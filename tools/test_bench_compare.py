@@ -167,7 +167,7 @@ class BenchCompareTest(unittest.TestCase):
         self.assertEqual(self.run_main(cur, base, ["--ab-only"]), 0)
 
     def test_ab_gate_fails_on_relative_regression(self):
-        # Same machine speed, but the calendar side lost 40% vs its twin.
+        # Same machine speed, but the A side lost 40% vs its twin.
         cur, base = self.ab_files(3e6, 2e6, 1.8e6, 2e6)
         self.assertEqual(self.run_main(cur, base, ["--ab-only"]), 1)
 
