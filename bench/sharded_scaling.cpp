@@ -1,21 +1,16 @@
 // Sharded-simulator scaling sweep: shard count x host count over the
-// multigroup dissemination model, against the single-threaded reference
-// kernel on the same model.
+// unregulated multigroup dissemination model, against the single-threaded
+// reference kernel on the same model.
 //
 //   BM_ShardedScalingRef/<hosts>          single-threaded Simulator
 //   BM_ShardedScaling/<hosts>/<shards>    ShardedSimulator, auto threads
-//   BM_ShardedScalingUnbatched/<hosts>/<shards>
-//       the same runs with per-copy deliver() instead of deliver_batch
-//       trains: the in-run A/B baseline for the batch-path gate
-//       (bench_compare.py --ab-only --ab-suffix Unbatched).  Traces are
-//       byte-identical either way; only scheduling mechanics differ.
 //
 // Manual timing: each iteration rebuilds the run but the clock covers
-// only the run() itself (overlay construction is cached and excluded),
-// so items_per_second is events through the kernel per wall second.
-// Speedup at S shards on H hosts = items/s of /H/S over items/s of
-// Ref/H.  NOTE: worker threads are capped by the machine;
-// ShardedMultigroupResult.threads in the console output shows what a
+// only the engine run (MultiGroupSimResult::run_seconds; overlay
+// construction is excluded), so items_per_second is events through the
+// kernel per wall second.  Speedup at S shards on H hosts = items/s of
+// /H/S over items/s of Ref/H.  NOTE: worker threads are capped by the
+// machine; MultiGroupSimResult.threads in the console output shows what a
 // run actually used — on a 1-core container every configuration
 // serialises and the sweep measures pure window/mailbox overhead
 // instead of speedup (see BENCH_pr3.json provenance note in ROADMAP).
@@ -27,15 +22,16 @@
 
 #include "bench_common.hpp"
 
-#include "experiments/sharded_multigroup.hpp"
+#include "experiments/multigroup_sim.hpp"
 
 namespace {
 
-using emcast::experiments::ShardedMultigroupConfig;
-using emcast::experiments::run_sharded_multigroup;
+using emcast::experiments::MultiGroupSimConfig;
+using emcast::experiments::run_multigroup;
 
-ShardedMultigroupConfig scaled_config(std::size_t hosts) {
-  ShardedMultigroupConfig cfg;
+MultiGroupSimConfig scaled_config(std::size_t hosts) {
+  MultiGroupSimConfig cfg;
+  cfg.regulation = emcast::experiments::RegulationScheme::Unregulated;
   cfg.kind = emcast::experiments::TrafficKind::Audio;
   cfg.groups = 3;
   cfg.hosts = hosts;
@@ -47,12 +43,11 @@ ShardedMultigroupConfig scaled_config(std::size_t hosts) {
 }
 
 void BM_ShardedScalingRef(benchmark::State& state) {
-  ShardedMultigroupConfig cfg =
+  const MultiGroupSimConfig cfg =
       scaled_config(static_cast<std::size_t>(state.range(0)));
-  cfg.single_threaded = true;
   std::uint64_t events = 0;
   for (auto _ : state) {
-    const auto r = run_sharded_multigroup(cfg);
+    const auto r = run_multigroup(cfg);
     state.SetIterationTime(r.run_seconds);
     events += r.events_executed;
   }
@@ -65,14 +60,15 @@ BENCHMARK(BM_ShardedScalingRef)
     ->Unit(benchmark::kMillisecond)
     ->Iterations(1);
 
-void run_scaling(benchmark::State& state, bool batch_delivery) {
-  ShardedMultigroupConfig cfg =
+void BM_ShardedScaling(benchmark::State& state) {
+  MultiGroupSimConfig cfg =
       scaled_config(static_cast<std::size_t>(state.range(0)));
+  cfg.engine = emcast::sim::EngineKind::Sharded;
   cfg.shards = static_cast<std::size_t>(state.range(1));
-  cfg.batch_delivery = batch_delivery;
+  const double horizon = cfg.duration + 3.0;  // run_multigroup's horizon
   std::uint64_t events = 0;
   for (auto _ : state) {
-    const auto r = run_sharded_multigroup(cfg);
+    const auto r = run_multigroup(cfg);
     state.SetIterationTime(r.run_seconds);
     events += r.events_executed;
     state.counters["threads"] = static_cast<double>(r.threads);
@@ -83,22 +79,11 @@ void run_scaling(benchmark::State& state, bool batch_delivery) {
     // second.  Wider windows (the pair-lookahead matrix) push this DOWN
     // at fixed traffic; compare across PR snapshots at equal shard count.
     state.counters["win_per_simsec"] =
-        static_cast<double>(r.rounds) / r.horizon;
+        static_cast<double>(r.rounds) / horizon;
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(events));
 }
-
-void BM_ShardedScaling(benchmark::State& state) { run_scaling(state, true); }
 BENCHMARK(BM_ShardedScaling)
-    ->ArgsProduct({{1024, 4096}, {1, 2, 4, 8}})
-    ->UseManualTime()
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(1);
-
-void BM_ShardedScalingUnbatched(benchmark::State& state) {
-  run_scaling(state, false);
-}
-BENCHMARK(BM_ShardedScalingUnbatched)
     ->ArgsProduct({{1024, 4096}, {1, 2, 4, 8}})
     ->UseManualTime()
     ->Unit(benchmark::kMillisecond)
@@ -108,9 +93,6 @@ BENCHMARK(BM_ShardedScalingUnbatched)
 //
 //   BM_HostScaleSweep/<hosts>/<shards>    hierarchical underlay + compact
 //                                         host state (the 10^6-host path)
-//   BM_HostScaleSweepUnbatched/...        per-copy deliver() twin: the
-//       in-run A/B baseline for the pair-ratio gate (bench_compare.py
-//       --ab-only --ab-suffix Unbatched), sized for CI at 10^4 hosts.
 //
 // The per-host counters are the acceptance axis of the scale subsystem:
 //   events_per_host   events/s/host — should stay ~flat as N grows
@@ -120,9 +102,9 @@ BENCHMARK(BM_ShardedScalingUnbatched)
 //   provider_mb       delay-provider footprint (compact oracle: R² + M,
 //                     not (R + M)²).
 // Router count scales ~N/256 to hold the mean attachment-domain size.
-ShardedMultigroupConfig sweep_config(std::size_t hosts, std::size_t shards,
-                                     bool batch_delivery) {
-  ShardedMultigroupConfig cfg;
+MultiGroupSimConfig sweep_config(std::size_t hosts, std::size_t shards) {
+  MultiGroupSimConfig cfg;
+  cfg.regulation = emcast::experiments::RegulationScheme::Unregulated;
   cfg.kind = emcast::experiments::TrafficKind::Audio;
   cfg.groups = 3;
   cfg.hosts = hosts;
@@ -130,19 +112,19 @@ ShardedMultigroupConfig sweep_config(std::size_t hosts, std::size_t shards,
   cfg.duration = 0.5;
   cfg.warmup = 0.1;
   cfg.seed = 11;
+  cfg.engine = emcast::sim::EngineKind::Sharded;
   cfg.shards = shards;
-  cfg.batch_delivery = batch_delivery;
   cfg.sample_deliveries = 128;
   return cfg;
 }
 
-void run_host_sweep(benchmark::State& state, bool batch_delivery) {
-  const ShardedMultigroupConfig cfg =
+void BM_HostScaleSweep(benchmark::State& state) {
+  const MultiGroupSimConfig cfg =
       sweep_config(static_cast<std::size_t>(state.range(0)),
-                   static_cast<std::size_t>(state.range(1)), batch_delivery);
+                   static_cast<std::size_t>(state.range(1)));
   std::uint64_t events = 0;
   for (auto _ : state) {
-    const auto r = run_sharded_multigroup(cfg);
+    const auto r = run_multigroup(cfg);
     state.SetIterationTime(r.run_seconds);
     events += r.events_executed;
     state.counters["threads"] = static_cast<double>(r.threads);
@@ -156,20 +138,7 @@ void run_host_sweep(benchmark::State& state, bool batch_delivery) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(events));
 }
-
-void BM_HostScaleSweep(benchmark::State& state) {
-  run_host_sweep(state, true);
-}
 BENCHMARK(BM_HostScaleSweep)
-    ->ArgsProduct({{1024, 4096, 10000}, {1, 4}})
-    ->UseManualTime()
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(1);
-
-void BM_HostScaleSweepUnbatched(benchmark::State& state) {
-  run_host_sweep(state, false);
-}
-BENCHMARK(BM_HostScaleSweepUnbatched)
     ->ArgsProduct({{1024, 4096, 10000}, {1, 4}})
     ->UseManualTime()
     ->Unit(benchmark::kMillisecond)

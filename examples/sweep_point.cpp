@@ -6,8 +6,8 @@
 // point flags to this command line, reads the single JSON object this
 // prints, and checkpoints it into the sweep manifest.
 //
-//   ./example_sweep_point --engine process --shards 4 --processes 2 \
-//       --scheme adaptive --utilization 0.9
+//   ./example_sweep_point --engine process --shards 4 --processes 2
+//       --scheme adaptive --utilization 0.9        (one command line)
 //
 // Every flag has a deterministic default, so a bare invocation is a
 // valid (and reproducible) point.
@@ -35,7 +35,7 @@ using namespace emcast::experiments;
                "[--routers N] [--groups N] [--duration T] [--warmup T] "
                "[--seed N]\n"
                "  schemes: capacity-aware sigma-rho sigma-rho-lambda "
-               "adaptive\n",
+               "adaptive unregulated\n",
                what.c_str());
   std::exit(2);
 }
@@ -45,6 +45,7 @@ RegulationScheme parse_scheme(const std::string& s) {
   if (s == "sigma-rho") return RegulationScheme::SigmaRho;
   if (s == "sigma-rho-lambda") return RegulationScheme::SigmaRhoLambda;
   if (s == "adaptive") return RegulationScheme::Adaptive;
+  if (s == "unregulated") return RegulationScheme::Unregulated;
   usage_error("unknown --scheme " + s);
 }
 
@@ -54,6 +55,7 @@ const char* scheme_slug(RegulationScheme s) {
     case RegulationScheme::SigmaRho: return "sigma-rho";
     case RegulationScheme::SigmaRhoLambda: return "sigma-rho-lambda";
     case RegulationScheme::Adaptive: return "adaptive";
+    case RegulationScheme::Unregulated: return "unregulated";
   }
   return "?";
 }
@@ -112,7 +114,6 @@ int main(int argc, char** argv) {
       usage_error("bad value for " + flag);
     }
   }
-  if (cfg.engine != sim::EngineKind::Single && cfg.shards < 2) cfg.shards = 4;
 
   MultiGroupSimResult r;
   const auto t0 = std::chrono::steady_clock::now();

@@ -28,6 +28,11 @@ using DeliveryTrace = std::vector<DeliveryRecord>;
 /// Sort into the canonical (time_key, group, packet_id, host) order.
 void canonicalize(DeliveryTrace& trace);
 
+/// FNV-1a over every record's (time_key, packet_id, group, host) in
+/// trace order: a 64-bit fingerprint that lets a test pin a canonical
+/// trace as a literal.
+std::uint64_t trace_hash(const DeliveryTrace& trace);
+
 /// Key for the bounded k-min delivery sample (util::KMinSample): a pure
 /// function of the record, so the winning set cannot depend on shard
 /// layout, thread count or event order — only on the delivered multiset.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <chrono>
 #include <functional>
 #include <map>
 #include <memory>
@@ -32,6 +33,7 @@ const char* to_string(RegulationScheme scheme) {
     case RegulationScheme::SigmaRho: return "(sigma,rho)";
     case RegulationScheme::SigmaRhoLambda: return "(sigma,rho,lambda)";
     case RegulationScheme::Adaptive: return "adaptive";
+    case RegulationScheme::Unregulated: return "unregulated";
   }
   return "?";
 }
@@ -409,6 +411,7 @@ MultiGroupSimResult run_multigroup(const MultiGroupSimConfig& config,
 
   const bool capacity_aware =
       config.regulation == RegulationScheme::CapacityAware;
+  const bool unregulated = config.regulation == RegulationScheme::Unregulated;
   // Capacity-aware hosts replicate through a *shared* uplink of
   // C_host = host_capacity_factor · C (the Fig. 1 model their degree bound
   // comes from); regulated hosts follow the paper's per-hop analysis — one
@@ -454,35 +457,44 @@ MultiGroupSimResult run_multigroup(const MultiGroupSimConfig& config,
       }
       return;
     }
-    // Batch the fan-out: one deliver_batch per chunk instead of one
-    // kernel/mailbox touch per child.  Arrival times are computed from
-    // the same float operands in the same order as the per-child
-    // deliver() loop, and deliver_batch fires in index order — the
-    // traces stay byte-identical.
-    constexpr std::size_t kFanChunk = 32;
-    sim::DeliveryItem train[kFanChunk];
-    for (std::size_t j = 0; j < children.size(); j += kFanChunk) {
-      const std::size_t m = std::min(kFanChunk, children.size() - j);
-      for (std::size_t c = 0; c < m; ++c) {
-        const std::size_t child = children[j + c];
-        const Time replication =
-            static_cast<double>(j + c) * p.size / capacity;
-        const Time overhead =
-            config.fwd_overhead + p.size / config.fwd_cpu_rate;
-        const Time prop = mg.member_delay(h, child);
-        train[c].packet = p;
-        train[c].at = ctx.now() + (replication + overhead + prop);
-        train[c].host = static_cast<HostId>(child);
+    if (unregulated) {
+      // Store-and-forward through the host's uplink: each copy departs
+      // once the previous one has left.  Cross-shard safety: the hop
+      // delay is >= fwd_overhead + member_delay >= the pair lookahead by
+      // float-addition monotonicity.
+      Time& busy = table.busy_until(h);
+      const Rate uplink = table.uplink(h);
+      for (const std::size_t child : children) {
+        const Time depart = std::max(ctx.now(), busy) + p.size / uplink;
+        busy = depart;
+        const Time delay = config.fwd_overhead + p.size / config.fwd_cpu_rate +
+                           mg.member_delay(h, child);
+        sim::Packet copy = p;
+        ++copy.hops;
+        copy.hop_arrival = depart + delay;
+        ctx.deliver(static_cast<HostId>(child), copy, copy.hop_arrival);
       }
-      ctx.deliver_batch(train, m);
+      return;
+    }
+    for (std::size_t j = 0; j < children.size(); ++j) {
+      const std::size_t child = children[j];
+      const Time replication = static_cast<double>(j) * p.size / capacity;
+      const Time overhead = config.fwd_overhead + p.size / config.fwd_cpu_rate;
+      const Time prop = mg.member_delay(h, child);
+      ctx.deliver(static_cast<HostId>(child), p,
+                  ctx.now() + (replication + overhead + prop));
     }
   };
   // Pipeline entry: regulated hosts queue into their AdaptiveHost;
-  // capacity-aware (and source) traffic goes straight to replication.
+  // capacity-aware and unregulated traffic goes straight to replication.
   // One function object for the whole run — the per-host closure the old
   // layout kept (a std::function per HostCtx) is gone.
   std::function<void(std::size_t, sim::Packet, Time)> offer_host =
       [&](std::size_t h, sim::Packet p, Time now) {
+        if (unregulated) {
+          forward(h, std::move(p));
+          return;
+        }
         Pipeline& pl = pipelines[table.pipeline(h)];
         if (pl.regulated) {
           pl.regulated->offer(std::move(p));
@@ -561,6 +573,17 @@ MultiGroupSimResult run_multigroup(const MultiGroupSimConfig& config,
   } else if (config.regulation == RegulationScheme::Adaptive) {
     mode = core::ControlMode::Adaptive;
   }
+  // The replication load a host's uplink carries: one flow copy per
+  // child, priced at the child's group rate (heterogeneous mixes: a video
+  // child costs ~23x an audio child).
+  const auto carried_load = [&](std::size_t h) {
+    Rate carried = 0;
+    for (int g = 0; g < mg.groups(); ++g) {
+      carried += static_cast<double>(mg.tree(g).children(h).size()) *
+                 scenario.sources[static_cast<std::size_t>(g)]->mean_rate();
+    }
+    return carried;
+  };
   for (std::size_t h = 0; h < n; ++h) {
     bool forwards = false;
     for (int g = 0; g < mg.groups(); ++g) {
@@ -573,6 +596,13 @@ MultiGroupSimResult run_multigroup(const MultiGroupSimConfig& config,
     // it orphans, so every host gets a pipeline up front (building one
     // mid-run would race the packet flow and allocate on the hot path).
     if (!forwards && !churn_on) continue;
+    if (unregulated) {
+      // No pipeline, just the uplink lane: sized so the carried load runs
+      // at ρ̄ — heavy forwarders get fat uplinks.
+      table.uplink(h) =
+          std::max(capacity, carried_load(h) / config.utilization);
+      continue;
+    }
     table.pipeline(h) = static_cast<std::uint32_t>(pipelines.size());
     table.flags(h) |= 1;  // forwarder bit
     pipelines.emplace_back();
@@ -588,21 +618,13 @@ MultiGroupSimResult run_multigroup(const MultiGroupSimConfig& config,
       // output capacity exists, so a host's uplink is sized to carry its
       // actual assignment at the budget-safety utilisation (hosts that
       // adopted more children are, by assumption, the stronger hosts).
-      // The uplink must carry one flow copy per child, priced at the
-      // child's group rate (heterogeneous mixes: a video child costs ~23x
-      // an audio child).
-      Rate carried = 0;
-      for (int g = 0; g < mg.groups(); ++g) {
-        carried += static_cast<double>(mg.tree(g).children(h).size()) *
-                   scenario.sources[static_cast<std::size_t>(g)]->mean_rate();
-      }
       // Target uplink utilisation scales with the network load: when
       // capacity is scarce (high ρ̄), the scheme packs hosts closer to
       // their limits — that is exactly why its delays degrade.
       const double target_util =
           std::clamp(config.utilization + 0.04, 0.60, 0.99);
       const Rate uplink = std::max(capacity * host_capacity_factor,
-                                   carried / target_util);
+                                   carried_load(h) / target_util);
       pl.plain =
           std::make_unique<core::Mux>(host_ctx, uplink, uplink_sink(h));
       table.uplink(h) = uplink;
@@ -850,7 +872,11 @@ MultiGroupSimResult run_multigroup(const MultiGroupSimConfig& config,
         });
   }
 
-  engine.run(config.duration + 3.0);
+  const auto run_start = std::chrono::steady_clock::now();
+  r.events_executed = engine.run(config.duration + 3.0);
+  r.run_seconds = std::chrono::duration<double>(
+                      std::chrono::steady_clock::now() - run_start)
+                      .count();
 
   sim::DelayTracer merged(config.warmup);
   merged.enable_quantiles();

@@ -9,6 +9,9 @@
 //   regulated MUX service at C  +  app-layer forwarding overhead
 //   (constant + size/cpu_rate)  +  replication serialisation
 //   (the j-th child copy waits j·size/C)  +  underlay propagation delay.
+// The unregulated baseline drops the MUX and instead serialises every
+// copy through the forwarder's uplink (store-and-forward: copy j departs
+// at max(now, uplink free) + size/uplink).
 
 #include <cstdint>
 #include <memory>
@@ -34,6 +37,10 @@ enum class RegulationScheme {
   SigmaRho,        ///< (σ, ρ)-regulated MUXs on the fixed tree
   SigmaRhoLambda,  ///< (σ, ρ, λ)-regulated MUXs on the fixed tree
   Adaptive,        ///< the paper's algorithm (switches at ρ*)
+  /// No regulators and no pipeline: the plain family tree, each forwarder
+  /// serialising its copies through an uplink sized to carry its
+  /// replication load at ρ̄ (never below the shared capacity C).
+  Unregulated,
 };
 
 const char* to_string(RegulationScheme scheme);
@@ -147,6 +154,8 @@ struct MultiGroupSimResult {
   int max_layers = 0;           ///< max hierarchy layers over the K trees
   int max_height_hops = 0;      ///< max tree height in hops
   std::uint64_t mode_switches = 0;  ///< Σ over hosts (Adaptive only)
+  std::uint64_t events_executed = 0;  ///< events run by the engine
+  double run_seconds = 0;  ///< wall time of the engine run alone [s]
 
   // Churn telemetry (defaults when churn is disabled).
   std::uint64_t churn_events = 0;   ///< accepted crashes + leaves + rejoins

@@ -119,17 +119,6 @@ class EventQueue {
   template <typename F>
   EventHandle push(Time t, F&& fn);
 
-  /// Schedule `count` callables in one pending-set touch: `make(i)` yields
-  /// the callable for `times[i]`.  Sequence numbers are assigned in index
-  /// order, so the batch fires exactly as the equivalent loop of push()
-  /// calls would, with one capacity check for the whole batch
-  /// (PendingHeap::insert_batch).  All-or-nothing: on a throw (allocation
-  /// only) no event of the batch is scheduled.  Batch events return no
-  /// handles — they are not individually cancellable; use push() where
-  /// cancellation is needed.
-  template <typename Make>
-  void push_batch(const Time* times, std::size_t count, Make&& make);
-
   /// Time of the earliest live event; kTimeInfinity when empty.
   Time next_time();
 
@@ -230,11 +219,6 @@ class EventQueue {
   std::uint64_t next_seq_ = 0;
 
   PendingHeap pending_;
-  /// Staging buffer for push_batch: entries are built here (slots acquired,
-  /// captures constructed, occupants still vacant) and handed to the
-  /// pending set in one call.  Grows to the largest batch ever staged,
-  /// then stays warm.
-  std::vector<PendingEntry> batch_entries_;
 };
 
 inline bool EventHandle::pending() const {
@@ -314,83 +298,12 @@ inline EventHandle EventQueue::push(Time t, F&& fn) {
   return EventHandle(this, slot, seq);
 }
 
-template <typename Make>
-inline void EventQueue::push_batch(const Time* times, std::size_t count,
-                                   Make&& make) {
-  using F = std::decay_t<decltype(make(std::size_t{0}))>;
-  static_assert(EventFn::template fits<F>,
-                "EventQueue::push_batch: callable violates the EventFn "
-                "contract (see util::InlineFn)");
-  constexpr bool kFat = sizeof(F) > kCompactFnCapacity;
-  if (count == 0) return;
-  for (std::size_t i = 0; i < count; ++i) {
-    if (!std::isfinite(times[i])) throw_nonfinite_time();
-  }
-  if (next_seq_ + count > kSeqLimit) {
-    throw_capacity_exhausted("event sequence");
-  }
-  // Stage: acquire slots and construct captures WITHOUT publishing
-  // occupants.  If anything below throws, the staged slots carry vacant
-  // occupants, so unwinding can destroy and relink them — and any prefix
-  // of entries the pending set already swallowed mismatches its occupant
-  // and is skimmed as dead.  Events therefore commit all-or-nothing.
-  batch_entries_.clear();
-  batch_entries_.reserve(count);
-  std::size_t staged = 0;
-  try {
-    for (; staged < count; ++staged) {
-      const std::uint32_t slot = acquire_slot<kFat>();
-      const std::uint32_t index = slot & kPoolMask;
-      try {
-        if constexpr (kFat) {
-          fat_fn(index) = make(staged);
-        } else {
-          compact_fn(index) = make(staged);
-        }
-      } catch (...) {
-        release_slot(slot);
-        throw;
-      }
-      batch_entries_.push_back(PendingEntry{
-          time_key(times[staged]),
-          ((next_seq_ + staged) << kSlotShift) | slot});
-    }
-    pending_.insert_batch(batch_entries_.data(), count);
-  } catch (...) {
-    for (std::size_t i = 0; i < staged; ++i) {
-      const std::uint32_t slot = entry_slot(batch_entries_[i]);
-      const std::uint32_t index = slot & kPoolMask;
-      if constexpr (kFat) {
-        fat_fn(index) = nullptr;
-      } else {
-        compact_fn(index) = nullptr;
-      }
-      release_slot(slot);
-    }
-    // Burn the staged sequence numbers: insert_batch may have committed a
-    // prefix of the entries before throwing, and if a future event were
-    // issued one of these seqs into a recycled slot, the stale record
-    // would come back to life.  Monotone seqs make it dead forever.
-    next_seq_ += staged;
-    batch_entries_.clear();
-    throw;
-  }
-  // Publish: from here the batch is live.  Occupant stores cannot throw.
-  for (std::size_t i = 0; i < count; ++i) {
-    occupant(entry_slot(batch_entries_[i])) = next_seq_ + i;
-  }
-  next_seq_ += count;
-  live_count_ += count;
-}
-
 inline void EventQueue::skim_dead() {
   while (pending_.size() != 0 && entry_dead(pending_.min())) {
     pending_.pop_min();
-    // Saturating: entries stranded by a failed push_batch (never-published
-    // occupants) were never counted by cancel_handle, so an exact
-    // decrement could underflow and jam the compaction threshold
-    // in cancel_handle.
-    dead_pending_ -= static_cast<std::size_t>(dead_pending_ != 0);
+    assert(dead_pending_ != 0 &&
+           "dead pending record that cancel_handle never counted");
+    --dead_pending_;
   }
 }
 

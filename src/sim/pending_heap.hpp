@@ -37,14 +37,6 @@ class PendingHeap {
     sift_up(kBase + size_ - 1);
   }
 
-  /// Bulk insert: one capacity check for the whole batch, then plain
-  /// pushes (nothrow after the reserve).  No ordering precondition on the
-  /// entries.
-  void insert_batch(const PendingEntry* entries, std::size_t count) {
-    if (size_ + count > cap_) reserve(size_ + count);
-    for (std::size_t i = 0; i < count; ++i) push(entries[i]);
-  }
-
   /// Earliest entry; heap must be non-empty.
   const PendingEntry& min() const {
     assert(size_ != 0);

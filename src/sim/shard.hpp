@@ -37,15 +37,6 @@ class Shard;
 /// from events executing inside a window.
 using ShardMsgHandler = std::function<void(Shard&, const CrossShardMsg&)>;
 
-/// Batch flavour of the drain handler: invoked ONCE per drain with the
-/// round's full message array, already in the deterministic (deliver_at,
-/// source shard, seq) order.  Same contract otherwise — schedule locally
-/// only, never post.  When installed it replaces the per-message handler
-/// for the round, letting the Engine turn a sorted drain into a single
-/// schedule_batch (the messages form one nondecreasing time run).
-using ShardBatchMsgHandler =
-    std::function<void(Shard&, const CrossShardMsg*, std::size_t)>;
-
 class Shard {
  public:
   Shard(const Shard&) = delete;
@@ -77,28 +68,6 @@ class Shard {
     assert(deliver_at >= sim_.now() + post_floor(dest_shard) &&
            "cross-shard post violates the lookahead contract");
     outgoing_[dest_shard]->post(p, dest_host, deliver_at);
-  }
-
-  /// Batch post: hand a train of `n` packets to `dest_shard` with one
-  /// mailbox free-space check and one ring publish (see
-  /// ShardMailbox::post_batch).  Each item must satisfy the lookahead
-  /// contract for this PAIR: deliver_at >= now + the pair's effective
-  /// lookahead (post_floor(dest_shard)), which is >= the scalar floor and
-  /// strictly tighter when a pair lookahead matrix is installed.
-  void post_batch(std::size_t dest_shard, const DeliveryItem* items,
-                  std::size_t n) {
-    assert(dest_shard != index_ && "post to self: schedule locally instead");
-    assert(!in_drain_ &&
-           "post from a message handler: handlers may only schedule "
-           "locally (see ShardMsgHandler)");
-#ifndef NDEBUG
-    const Time floor = sim_.now() + post_floor(dest_shard);
-    for (std::size_t i = 0; i < n; ++i) {
-      assert(items[i].at >= floor &&
-             "cross-shard post violates the lookahead contract");
-    }
-#endif
-    if (n != 0) outgoing_[dest_shard]->post_batch(items, n);
   }
 
   /// The effective lower bound on (deliver_at - now) for posts to
@@ -153,7 +122,6 @@ class Shard {
   /// the window protocol's safety derives from the scheduler's bound.
   std::vector<Time> post_floor_;
   const ShardMsgHandler* handler_ = nullptr;
-  const ShardBatchMsgHandler* batch_handler_ = nullptr;
   std::uint64_t messages_received_ = 0;
   /// True while drain_and_schedule runs its handlers (assert-only guard
   /// for the no-post-from-handler contract above).

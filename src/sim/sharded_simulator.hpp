@@ -36,7 +36,7 @@
 // order), so the set of (time, payload) tuples matches bit-for-bit;
 // within-shard tie order at equal times follows local scheduling order,
 // which model-level canonical trace ordering (sort by time image + stable
-// payload key) makes irrelevant — see experiments/sharded_multigroup.
+// payload key) makes irrelevant — see experiments/multigroup_sim.
 
 #include <atomic>
 #include <cstdint>
@@ -91,11 +91,6 @@ class ShardedSimulator {
   /// Install the model's cross-shard message handler (required before
   /// run() whenever shard_count() > 1 and any post() can happen).
   void set_message_handler(ShardMsgHandler handler);
-
-  /// Install a batch drain handler instead: invoked once per drain with
-  /// the round's sorted message array (see ShardBatchMsgHandler).
-  /// Replaces any per-message handler.
-  void set_batch_message_handler(ShardBatchMsgHandler handler);
 
   /// Advance every shard until all queues drain or the global clock
   /// passes `until` (events at exactly `until` are executed, matching
@@ -213,7 +208,6 @@ class ShardedSimulator {
   std::vector<std::unique_ptr<Shard>> shards_;
   std::unique_ptr<PaddedKey[]> shard_key_;  ///< per-shard time image
   ShardMsgHandler handler_;
-  ShardBatchMsgHandler batch_handler_;
   util::SpinBarrier barrier_;
 
   /// Double-buffered min-reduction over next-event time keys, indexed by

@@ -54,23 +54,6 @@ class Simulator {
     return queue_.push(t, std::forward<F>(fn));
   }
 
-  /// Schedule a train of events in one pending-set touch: `make(i)` yields
-  /// the callable fired at `times[i]` (each >= now()).  Fires in exactly
-  /// the order the equivalent loop of schedule_at calls would — sequence
-  /// numbers are assigned in index order — with one pending-set capacity
-  /// check for the whole train.  No handles are returned: batch events are
-  /// not individually cancellable.  All-or-nothing on a throw.
-  template <typename Make>
-  void schedule_batch(const Time* times, std::size_t count, Make&& make) {
-    for (std::size_t i = 0; i < count; ++i) {
-      if (!(times[i] >= now_)) {  // rejects NaN as well as past times
-        throw std::invalid_argument(
-            "schedule_batch: time in the past or NaN");
-      }
-    }
-    queue_.push_batch(times, count, std::forward<Make>(make));
-  }
-
   /// Run until the event queue drains or the clock passes `until`.
   /// Returns the number of events executed.
   std::uint64_t run(Time until = kTimeInfinity) {
@@ -120,9 +103,9 @@ class Simulator {
   /// Rewind the kernel for another simulation, keeping every arena warm.
   ///
   /// Survives a reset: the event queue's callback slabs, occupant arrays
-  /// and free lists, the pending heap's buffer, the batch staging buffer,
-  /// and the internal event sequence counter (kept monotone, so pre-reset
-  /// handles stay stale forever).
+  /// and free lists, the pending heap's buffer, and the internal event
+  /// sequence counter (kept monotone, so pre-reset handles stay stale
+  /// forever).
   /// Invalidated: the clock (rewound to `now`), the stop flag, the
   /// events_executed() counter (restarts at zero), and every outstanding
   /// EventHandle — stale handles remain SAFE (cancel()/pending() are

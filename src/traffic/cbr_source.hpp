@@ -14,9 +14,9 @@ struct CbrConfig {
   Time phase = 0.0;            ///< first packet offset
   FlowId flow = 0;
   GroupId group = -1;
-  /// Tick events scheduled per schedule_batch call (clamped to [1, 64]).
-  /// Purely a scheduling amortisation: emission instants and packets are
-  /// bit-identical for every value.
+  /// Tick events scheduled per train (clamped to [1, 64]).  Purely a
+  /// scheduling choice: emission instants and packets are bit-identical
+  /// for every value.
   std::size_t batch = 16;
 };
 

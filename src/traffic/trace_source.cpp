@@ -62,10 +62,10 @@ void TraceSource::start(sim::SimContext ctx, PacketSink sink, Time until) {
 void TraceSource::schedule_train(sim::SimContext ctx, Time until) {
   // The next `batch` distinct replay instants, discovered with a
   // lookahead COPY of the cursor (no records consumed — the live cursor
-  // still feeds emit in order), scheduled in one pending-set touch.  The
-  // instants are the records' own timestamps, so batching cannot perturb
-  // them; instants past `until` never enter the batch, mirroring the
-  // old chain's stop condition.
+  // still feeds emit in order) and scheduled in time order.  The instants
+  // are the records' own timestamps, so trains cannot perturb them;
+  // instants past `until` never enter the train, mirroring a per-event
+  // chain's stop condition.
   constexpr std::size_t kMaxTrain = 64;
   const std::size_t k = std::clamp<std::size_t>(config_.batch, 1, kMaxTrain);
   Time times[kMaxTrain];
@@ -81,18 +81,19 @@ void TraceSource::schedule_train(sim::SimContext ctx, Time until) {
     key = r.time_key;
     times[m++] = r.time();
   }
-  ctx.schedule_batch(times, m, [this, ctx, until, m](std::size_t i) {
+  for (std::size_t i = 0; i < m; ++i) {
     const bool last = i + 1 == m;
-    return [this, ctx, until, last] { emit(ctx, until, last); };
-  });
+    ctx.schedule_at(times[i],
+                    [this, ctx, until, last] { emit(ctx, until, last); });
+  }
 }
 
 void TraceSource::emit(sim::SimContext ctx, Time until, bool last) {
   if (ctx.now() > until) return;
   // Emit every record sharing this instant inside one event — the same
-  // burst shape a live source produces.  The batch scheduled one event
+  // burst shape a live source produces.  The train scheduled one event
   // per upcoming distinct timestamp, so each fires exactly when the
-  // cursor stands at its instant; the batch tail chains the next train.
+  // cursor stands at its instant; the train's tail chains the next one.
   const std::uint64_t key = current_.time_key;
   while (has_current_ && current_.time_key == key) {
     sim::Packet p;

@@ -105,7 +105,6 @@ TEST(LambdaBank, DelayNeverExceedsLemma1StyleBound) {
       });
     }
   }
-  Time max_delay = 0;
   h.bank = std::make_unique<LambdaRegulatorBank>(
       h.sim, homogeneous3(sigma, rho), C, [](sim::Packet) {});
   // Rebuild harness cleanly: simpler to re-create and re-offer.

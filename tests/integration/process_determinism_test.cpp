@@ -16,7 +16,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
+#include <string>
 
 #include "experiments/multigroup_sim.hpp"
 #include "traffic/trace_recorder.hpp"
@@ -103,6 +105,27 @@ TEST(ProcessSimConformance, WorkerProcessCountNeverChangesResults) {
     EXPECT_EQ(proc.rounds, sharded.rounds) << label;
     EXPECT_EQ(proc.messages, sharded.messages) << label;
     EXPECT_EQ(proc.processes, processes) << label;
+  }
+}
+
+TEST(ProcessSimConformance, UnregulatedMatchesThePinnedTrace) {
+  // The unregulated dissemination workload of the ShardedSimDifferential
+  // suite, on worker processes.  The hash is the one that suite pins for
+  // Single and Sharded (recorded on the dedicated unregulated driver that
+  // RegulationScheme::Unregulated replaced).
+  constexpr std::uint64_t kBaseTraceHash = 0x1b186895ed526f2fULL;
+  MultiGroupSimConfig cfg =
+      base_config(TrafficKind::Audio, RegulationScheme::Unregulated);
+  cfg.utilization = 0.5;
+  cfg.duration = 1.0;
+  const auto ref = run_reference(cfg);
+  ASSERT_EQ(trace_hash(ref.trace), kBaseTraceHash);
+  for (const std::size_t shards : {2u, 4u}) {
+    const auto proc = run_process(cfg, shards, 2);
+    const std::string label = std::to_string(shards) + " shards";
+    expect_conformant(proc, ref, label);
+    EXPECT_EQ(trace_hash(proc.trace), kBaseTraceHash) << label;
+    EXPECT_EQ(proc.events_executed, ref.events_executed) << label;
   }
 }
 

@@ -17,9 +17,9 @@ RttFn line_rtt() {
 
 MulticastTree small_tree() {
   //        0
-  //       / \
+  //       / \      (0 -> 1, 2)
   //      1   2
-  //     / \   \
+  //     / \   \    (1 -> 3, 4; 2 -> 5)
   //    3   4   5
   constexpr auto npos = MulticastTree::npos;
   std::vector<Member> members(6);

@@ -12,9 +12,9 @@ std::vector<Member> make_members(std::size_t n) {
 }
 
 // Balanced tree:        0
-//                      / \
+//                      / \     (0 -> 1, 2)
 //                     1   2
-//                    / \
+//                    / \       (1 -> 3, 4)
 //                   3   4
 MulticastTree make_sample() {
   constexpr auto npos = MulticastTree::npos;

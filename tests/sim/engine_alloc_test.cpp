@@ -26,22 +26,40 @@ namespace {
 std::atomic<std::size_t> g_allocations{0};
 }  // namespace
 
-void* operator new(std::size_t size) {
+// Only the scalar pair is counted and kept out of line; the array,
+// sized and nothrow forms forward to it, exactly as the default library
+// versions do.  So every allocation is counted, and the compiler (and
+// AddressSanitizer) sees each one released by its matching operator
+// delete.
+[[gnu::noinline]] void* operator new(std::size_t size) {
   ++g_allocations;
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc();
 }
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
 
-void* operator new[](std::size_t size) {
-  ++g_allocations;
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
+void* operator new[](std::size_t size) { return ::operator new(size); }
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  try {
+    return ::operator new(size);
+  } catch (const std::bad_alloc&) {
+    return nullptr;
+  }
 }
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
+  return ::operator new(size, tag);
+}
+void operator delete[](void* p) noexcept { ::operator delete(p); }
+void operator delete(void* p, std::size_t) noexcept { ::operator delete(p); }
+void operator delete[](void* p, std::size_t) noexcept {
+  ::operator delete(p);
+}
+void operator delete(void* p, const std::nothrow_t&) noexcept {
+  ::operator delete(p);
+}
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  ::operator delete(p);
+}
 
 namespace emcast::sim {
 
@@ -426,58 +444,11 @@ TEST(EngineAllocation, TraceReplaySteadyStateIsAllocationFree) {
       << "trace replay steady state must not allocate";
 }
 
-TEST(EngineAllocation, BatchPushChurnIsAllocationFree) {
-  // The batch scheduling path (PR 8): push_batch stages entries in the
-  // queue's reusable staging buffer and hands them to the pending set in
-  // one call.  After a warm-up that grows the staging buffer to the
-  // largest batch ever used, sustained batch churn — sorted trains,
-  // descending batches and far-tail entries — must allocate nothing and
-  // leave every arena pinned.
-  EventQueue q;
-  constexpr std::size_t kBatch = 64;
-  constexpr int kRounds = 40;
-  double times[kBatch];
-  auto fill = [&times](double base, bool descending) {
-    for (std::size_t i = 0; i < kBatch; ++i) {
-      const double off = 0.01 * static_cast<double>(i);
-      times[i] = descending ? base + 0.64 - off : base + off;
-    }
-  };
-  auto churn = [&](double clock) {
-    for (int round = 0; round < kRounds; ++round) {
-      fill(clock, round % 3 == 2);
-      q.push_batch(times, kBatch, [](std::size_t) { return [] {}; });
-      if (round % 4 == 0) {
-        // Far-tail pair, interleaved with the near-term trains.
-        const double far[2] = {clock + 1e7, clock + 1e7 + 1.0};
-        q.push_batch(far, 2, [](std::size_t) { return [] {}; });
-      }
-      // Drain roughly half so pops interleave with batch inserts.
-      for (std::size_t i = 0; i < kBatch / 2 && !q.empty(); ++i) q.pop().fn();
-      clock += 1.0;
-    }
-    while (!q.empty()) q.pop().fn();
-  };
-  // Warm-up: grow the staging buffer, slabs and the pending heap once.
-  for (int i = 0; i < 2000; ++i) q.push(0.001 * i, [] {});
-  while (!q.empty()) q.pop().fn();
-  churn(2.0);
-
-  const std::size_t before = g_allocations.load();
-  const auto arenas_before = EventQueueTestPeer::arenas(q);
-  churn(2.0 + kRounds);
-  EXPECT_EQ(g_allocations.load(), before)
-      << "push_batch steady state must not allocate";
-  EXPECT_TRUE(EventQueueTestPeer::arenas(q) == arenas_before)
-      << "batch staging / heap arenas must not grow or move";
-}
-
-TEST(EngineAllocation, BatchSourceTrainSteadyStateIsAllocationFree) {
-  // The production shape of the batch path: a CBR source emitting through
-  // schedule_batch trains (PR 8).  The first run grows the staging buffer
-  // and the slab to the train's working set; a warm rerun — start()
-  // resets the id sequence, the train capture fits the slot pools — must
-  // allocate nothing.
+TEST(EngineAllocation, SourceTrainSteadyStateIsAllocationFree) {
+  // A CBR source scheduling its ticks in trains.  The first run grows the
+  // slab and the pending heap to the train's working set; a warm rerun —
+  // start() resets the id sequence, the train capture fits the slot
+  // pools — must allocate nothing.
   traffic::CbrConfig cfg;
   cfg.rate = mbps(1.0);
   cfg.packet_size = bytes(1000);
@@ -491,7 +462,7 @@ TEST(EngineAllocation, BatchSourceTrainSteadyStateIsAllocationFree) {
     src.start(sim, [&delivered](Packet) { ++delivered; }, 5.0);
     sim.run(5.0);
   };
-  run();  // warm-up grows the batch staging buffer and the slot slab
+  run();  // warm-up grows the slot slab and the pending heap
   const std::uint64_t first = delivered;
   ASSERT_GT(first, 100u);
 
@@ -500,7 +471,7 @@ TEST(EngineAllocation, BatchSourceTrainSteadyStateIsAllocationFree) {
   run();
   EXPECT_EQ(delivered, first);
   EXPECT_EQ(g_allocations.load(), before)
-      << "batched source train steady state must not allocate";
+      << "source train steady state must not allocate";
 }
 
 TEST(EngineAllocation, SimulatorEventLoopIsAllocationFree) {

@@ -305,75 +305,5 @@ TEST(EventQueueOrder, MatchesSortedReference) {
   }
 }
 
-// ---- push_batch ----------------------------------------------------------
-//
-// Contract: push_batch(times, n, make) is observably identical to n
-// sequential push() calls — same sequence numbers in index order, same
-// (time, seq) pop order — for any time pattern.
-
-struct BatchOp {
-  std::vector<double> times;  // one push_batch (or push-loop) call
-  int pops = 0;               // pops to perform after the pushes
-};
-
-std::vector<TraceEvent> run_batch_script(const std::vector<BatchOp>& ops,
-                                         bool batch) {
-  EventQueue q;
-  std::vector<TraceEvent> trace;
-  int next_id = 0;
-  const auto drain = [&q, &trace](int n) {
-    while (n-- > 0 && !q.empty()) fire_next(q, trace);
-  };
-  for (const BatchOp& op : ops) {
-    if (batch) {
-      q.push_batch(op.times.data(), op.times.size(),
-                   [&trace, next_id](std::size_t i) {
-                     const int id = next_id + static_cast<int>(i);
-                     return [&trace, id] {
-                       trace.push_back(TraceEvent{0.0, id});
-                     };
-                   });
-      next_id += static_cast<int>(op.times.size());
-    } else {
-      for (const double t : op.times) {
-        const int id = next_id++;
-        q.push(t, [&trace, id] { trace.push_back(TraceEvent{0.0, id}); });
-      }
-    }
-    drain(op.pops);
-  }
-  drain(1 << 30);
-  return trace;
-}
-
-TEST(EventQueueBatch, RandomBatchesMatchSequentialPushes) {
-  util::Rng rng(23);
-  std::vector<BatchOp> ops;
-  for (int round = 0; round < 60; ++round) {
-    BatchOp op;
-    const int m = static_cast<int>(rng.uniform_int(0, 80));
-    for (int i = 0; i < m; ++i) {
-      // Mostly near-term, an 8% far tail, and a sprinkle of duplicates
-      // for seq tie-breaks.
-      const double t = rng.uniform() < 0.92 ? rng.uniform(0.0, 10.0)
-                                            : rng.uniform(1e6, 1e9);
-      op.times.push_back(t);
-      if (rng.uniform() < 0.1) op.times.push_back(t);
-    }
-    // Pre-sort some batches: sorted trains are the hot production shape.
-    if (rng.uniform() < 0.5) {
-      std::sort(op.times.begin(), op.times.end());
-    }
-    op.pops = static_cast<int>(rng.uniform_int(0, 40));
-    ops.push_back(std::move(op));
-  }
-  const auto sequential = run_batch_script(ops, false);
-  const auto batched = run_batch_script(ops, true);
-  ASSERT_EQ(batched.size(), sequential.size());
-  for (std::size_t i = 0; i < sequential.size(); ++i) {
-    ASSERT_EQ(batched[i], sequential[i]) << "batch diverged at " << i;
-  }
-}
-
 }  // namespace
 }  // namespace emcast::sim

@@ -1,10 +1,11 @@
 // Differential determinism suite for the sharded simulator.
 //
-// The contract under test: a sharded run of the multigroup dissemination
-// model produces a byte-identical canonical delivery trace to the
-// single-threaded Simulator on the same model — for every shard count,
-// every worker-thread count, and every mailbox capacity (including ones
-// tiny enough to force the spill path).  Plus direct ShardedSimulator
+// The contract under test: a sharded run of the unregulated multigroup
+// dissemination model produces a byte-identical canonical delivery trace
+// to the single-threaded Simulator on the same model — for every shard
+// count, every worker-thread count, and every mailbox capacity (including
+// ones tiny enough to force the spill path) — and that trace is the one
+// pinned by hash below.  Plus direct ShardedSimulator
 // mechanics: window progression, message ordering, error propagation.
 
 #include <atomic>
@@ -15,18 +16,24 @@
 
 #include <gtest/gtest.h>
 
-#include "experiments/sharded_multigroup.hpp"
+#include "experiments/multigroup_sim.hpp"
 #include "sim/sharded_simulator.hpp"
 
 namespace emcast {
 namespace {
 
-using experiments::ShardedMultigroupConfig;
-using experiments::ShardedMultigroupResult;
-using experiments::run_sharded_multigroup;
+using experiments::MultiGroupSimConfig;
+using experiments::MultiGroupSimResult;
+using experiments::run_multigroup;
 
-ShardedMultigroupConfig base_config() {
-  ShardedMultigroupConfig cfg;
+/// trace_hash of this workload's canonical trace, recorded on the
+/// dedicated unregulated driver that RegulationScheme::Unregulated
+/// replaced: the fold must not move a single delivery.
+constexpr std::uint64_t kBaseTraceHash = 0x1b186895ed526f2fULL;
+
+MultiGroupSimConfig base_config() {
+  MultiGroupSimConfig cfg;
+  cfg.regulation = experiments::RegulationScheme::Unregulated;
   cfg.kind = experiments::TrafficKind::Audio;
   cfg.groups = 3;
   cfg.hosts = 96;
@@ -37,25 +44,27 @@ ShardedMultigroupConfig base_config() {
   return cfg;
 }
 
-ShardedMultigroupResult reference_run() {
-  ShardedMultigroupConfig cfg = base_config();
-  cfg.single_threaded = true;
-  return run_sharded_multigroup(cfg);
+MultiGroupSimResult sharded_run(MultiGroupSimConfig cfg, std::size_t shards) {
+  cfg.engine = sim::EngineKind::Sharded;
+  cfg.shards = shards;
+  return run_multigroup(cfg);
 }
 
 TEST(ShardedSimDifferential, ReferenceProducesTraffic) {
-  const auto ref = reference_run();
+  MultiGroupSimConfig cfg = base_config();
+  cfg.warmup = 0.0;  // every delivery counts, so the trace is all of them
+  const auto ref = run_multigroup(cfg);
   EXPECT_GT(ref.deliveries, 1000u);
   EXPECT_EQ(ref.trace.size(), ref.deliveries);
   EXPECT_GT(ref.worst_case_delay, 0.0);
+  EXPECT_EQ(experiments::trace_hash(ref.trace), kBaseTraceHash);
 }
 
 TEST(ShardedSimDifferential, ShardCountsProduceByteIdenticalTraces) {
-  const auto ref = reference_run();
+  const auto ref = run_multigroup(base_config());
+  ASSERT_EQ(experiments::trace_hash(ref.trace), kBaseTraceHash);
   for (const std::size_t shards : {1u, 2u, 4u, 8u}) {
-    ShardedMultigroupConfig cfg = base_config();
-    cfg.shards = shards;
-    const auto sharded = run_sharded_multigroup(cfg);
+    const auto sharded = sharded_run(base_config(), shards);
     EXPECT_EQ(sharded.deliveries, ref.deliveries) << shards << " shards";
     // max is order-independent: bit-equal, not just approximately equal.
     EXPECT_EQ(sharded.worst_case_delay, ref.worst_case_delay)
@@ -71,58 +80,31 @@ TEST(ShardedSimDifferential, ShardCountsProduceByteIdenticalTraces) {
 }
 
 TEST(ShardedSimDifferential, WorkerThreadCountNeverChangesTheTrace) {
-  const auto ref = reference_run();
   for (const std::size_t threads : {1u, 2u, 3u, 4u}) {
-    ShardedMultigroupConfig cfg = base_config();
-    cfg.shards = 4;
+    MultiGroupSimConfig cfg = base_config();
     cfg.threads = threads;
-    const auto sharded = run_sharded_multigroup(cfg);
-    ASSERT_TRUE(sharded.trace == ref.trace)
+    const auto sharded = sharded_run(cfg, 4);
+    ASSERT_EQ(experiments::trace_hash(sharded.trace), kBaseTraceHash)
         << threads << " worker threads: traces differ";
   }
 }
 
 TEST(ShardedSimDifferential, RepeatedRunsAreIdentical) {
-  ShardedMultigroupConfig cfg = base_config();
-  cfg.shards = 4;
-  const auto a = run_sharded_multigroup(cfg);
-  const auto b = run_sharded_multigroup(cfg);
+  const auto a = sharded_run(base_config(), 4);
+  const auto b = sharded_run(base_config(), 4);
   ASSERT_TRUE(a.trace == b.trace);
   EXPECT_EQ(a.rounds, b.rounds);
   EXPECT_EQ(a.messages, b.messages);
-}
-
-TEST(ShardedSimDifferential, UnbatchedDeliveryProducesTheSameTrace) {
-  // The A/B baseline the batch-path bench gate divides against: per-copy
-  // deliver() instead of deliver_batch trains must be byte-identical in
-  // every observable — the batch APIs are pure scheduling mechanics.
-  const auto ref = reference_run();
-  for (const std::size_t shards : {1u, 4u}) {
-    ShardedMultigroupConfig cfg = base_config();
-    cfg.shards = shards;
-    cfg.batch_delivery = false;
-    const auto unbatched = run_sharded_multigroup(cfg);
-    EXPECT_EQ(unbatched.deliveries, ref.deliveries) << shards << " shards";
-    EXPECT_EQ(unbatched.worst_case_delay, ref.worst_case_delay);
-    ASSERT_TRUE(unbatched.trace == ref.trace)
-        << shards << " shards: unbatched delivery changed the trace";
-  }
-  ShardedMultigroupConfig single = base_config();
-  single.single_threaded = true;
-  single.batch_delivery = false;
-  ASSERT_TRUE(run_sharded_multigroup(single).trace == ref.trace)
-      << "unbatched single-kernel run changed the trace";
+  EXPECT_EQ(a.events_executed, b.events_executed);
 }
 
 TEST(ShardedSimDifferential, MailboxSpillPathPreservesTheTrace) {
-  const auto ref = reference_run();
-  ShardedMultigroupConfig cfg = base_config();
-  cfg.shards = 4;
+  MultiGroupSimConfig cfg = base_config();
   cfg.mailbox_capacity = 1;  // ~every staged message overflows the ring
-  const auto sharded = run_sharded_multigroup(cfg);
+  const auto sharded = sharded_run(cfg, 4);
   EXPECT_GT(sharded.messages_spilled, 0u)
       << "capacity 1 should force the spill path";
-  ASSERT_TRUE(sharded.trace == ref.trace);
+  ASSERT_EQ(experiments::trace_hash(sharded.trace), kBaseTraceHash);
 }
 
 // ---- direct ShardedSimulator mechanics ----------------------------------

@@ -33,7 +33,7 @@ machines are noise — use the A/B gate for those pairs.
 ``--ab-only`` switches the gate to the interleaved A/B pairs the bench
 binaries already emit: a benchmark ``BM_X.../arg`` is paired with its
 in-run baseline variant ``BM_X...<suffix>/arg`` (``--ab-suffix``, e.g.
-``Fresh``, ``Off`` or ``Unbatched``; ``Heap`` by default), and the
+``Fresh`` or ``Off``; ``Heap`` by default), and the
 gate compares the A/B *speed ratio* of the current run against the A/B
 ratio of the snapshot.  Both sides of a ratio come from the same run on
 the same machine, so a slower or faster CI runner cancels out — the gate

@@ -51,7 +51,8 @@ from pathlib import Path
 MANIFEST_VERSION = 1
 
 ENGINES = ("single", "sharded", "process")
-SCHEMES = ("capacity-aware", "sigma-rho", "sigma-rho-lambda", "adaptive")
+SCHEMES = ("capacity-aware", "sigma-rho", "sigma-rho-lambda", "adaptive",
+           "unregulated")
 
 
 class OrchestrateError(Exception):
