@@ -34,7 +34,7 @@
 // (DSCT clusters by attachment domain and the partition keeps domains
 // whole), leaving the plan with few epochs; when a repair does create a
 // shorter cross-shard edge, the plan remaps the window width at a window
-// boundary (see ShardedSimulator::set_lookahead_plan).
+// boundary (see ShardGroup::set_lookahead_plan).
 
 #include <cstdint>
 #include <vector>

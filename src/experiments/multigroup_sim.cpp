@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <chrono>
+#include <cmath>
 #include <functional>
 #include <map>
 #include <memory>
@@ -210,6 +211,26 @@ MultiGroupSimResult run_multigroup(const MultiGroupSimConfig& config,
   if (!(config.loss_burst >= 1.0)) {
     throw std::invalid_argument(
         "run_multigroup: loss_burst must be >= 1 (mean burst length)");
+  }
+  // Run window and partition: a non-positive duration or a warmup that
+  // swallows it used to "succeed" with zero deliveries, and more shards
+  // than hosts sized the shards² lookahead matrix into bad_alloc.
+  if (!(config.duration > 0.0) || !std::isfinite(config.duration)) {
+    throw std::invalid_argument(
+        "run_multigroup: duration must be finite and > 0");
+  }
+  if (!(config.warmup >= 0.0)) {
+    throw std::invalid_argument("run_multigroup: warmup must be >= 0");
+  }
+  if (!(config.warmup < config.duration)) {
+    throw std::invalid_argument(
+        "run_multigroup: warmup must be < duration (nothing would be "
+        "measured)");
+  }
+  if (config.engine != sim::EngineKind::Single &&
+      config.shards > config.hosts) {
+    throw std::invalid_argument(
+        "run_multigroup: shards must not exceed hosts");
   }
   if (config.churn.enabled) config.churn.validate();
   if (config.record != nullptr &&

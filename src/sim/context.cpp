@@ -53,7 +53,6 @@ Engine::Engine(EngineConfig config) : config_(std::move(config)) {
   }
 
   validate_shard_map(config_.shard_of, config_.shards);
-  std::size_t shard_count;
   if (config_.kind == EngineKind::Sharded) {
     ShardedConfig shc;
     shc.shards = config_.shards;
@@ -63,7 +62,7 @@ Engine::Engine(EngineConfig config) : config_(std::move(config)) {
     shc.pin_threads = config_.pin_threads;
     shc.lookahead_matrix = config_.lookahead_matrix;
     sharded_ = std::make_unique<ShardedSimulator>(shc);
-    shard_count = sharded_->shard_count();
+    group_ = &sharded_->group();
   } else {
     ProcessConfig pc;
     pc.shards = config_.shards;
@@ -74,23 +73,21 @@ Engine::Engine(EngineConfig config) : config_(std::move(config)) {
     pc.timeout_seconds = config_.timeout_seconds;
     pc.lookahead_matrix = config_.lookahead_matrix;
     process_ = std::make_unique<ProcessSimulator>(pc);
-    shard_count = process_->shard_count();
+    group_ = &process_->group();
   }
 
-  // Both rounds backends expose the SAME Shard objects, so the context
+  // Both rounds backends own the SAME ShardGroup class, so the context
   // records — and with them every model-visible behaviour of SimContext —
   // are identical; on the process backend the workers simply inherit
   // them (and the handler below) through fork.
-  auto shard_at = [this](std::size_t i) -> Shard& {
-    return sharded_ != nullptr ? sharded_->shard(i) : process_->shard(i);
-  };
   const std::uint32_t* shard_of =
       config_.shard_of.empty() ? nullptr : config_.shard_of.data();
-  backends_.reserve(shard_count);
-  for (std::size_t i = 0; i < shard_count; ++i) {
+  backends_.reserve(group_->shard_count());
+  for (std::size_t i = 0; i < group_->shard_count(); ++i) {
+    Shard& shard = group_->shard(i);
     backends_.push_back(detail::ContextBackend{
-        &shard_at(i).sim(), &shard_at(i), static_cast<std::uint32_t>(i),
-        shard_of, config_.shard_of.size(), &deliver_});
+        &shard.sim(), &shard, static_cast<std::uint32_t>(i), shard_of,
+        config_.shard_of.size(), &deliver_});
   }
   // Cross-shard arrivals: the drain handler only schedules locally (the
   // ShardMsgHandler contract); the model's DeliverFn then fires at the
@@ -103,11 +100,7 @@ Engine::Engine(EngineConfig config) : config_(std::move(config)) {
       (*b->on_deliver)(SimContext(b), host, p);
     });
   };
-  if (sharded_ != nullptr) {
-    sharded_->set_message_handler(std::move(on_msg));
-  } else {
-    process_->set_message_handler(std::move(on_msg));
-  }
+  group_->set_message_handler(std::move(on_msg));
 }
 
 void Engine::reset() {
@@ -155,11 +148,7 @@ void Engine::reset(std::vector<std::uint32_t> shard_of, Time lookahead,
     b.shard_of_size = config_.shard_of.size();
   }
   if (!lookahead_matrix.empty()) {
-    if (sharded_ != nullptr) {
-      sharded_->set_lookahead_matrix(lookahead_matrix);  // validates
-    } else {
-      process_->set_lookahead_matrix(lookahead_matrix);
-    }
+    group_->set_lookahead_matrix(lookahead_matrix);  // validates
     config_.lookahead_matrix = std::move(lookahead_matrix);
   }
 }

@@ -225,7 +225,7 @@ struct EngineConfig {
   std::vector<std::uint32_t> shard_of;
   /// Optional per-shard-pair lookahead matrix (shards² entries, flattened
   /// [src * shards + dst]); empty = the uniform scalar above.  See
-  /// ShardedSimulator::set_lookahead_matrix for the contract — the
+  /// ShardGroup::set_lookahead_matrix for the contract — the
   /// experiments derive it from the partition's per-pair minimum
   /// cross-edge delay to widen the conservative windows.
   std::vector<Time> lookahead_matrix;
@@ -241,8 +241,9 @@ struct EngineConfig {
   double timeout_seconds = 30.0;
 };
 
-/// Owns one backend — a single-threaded Simulator or a ShardedSimulator —
-/// plus the delivery routing; vends SimContexts to the model.
+/// Owns one backend — a single-threaded Simulator, a ShardedSimulator or
+/// a ProcessSimulator — plus the delivery routing; vends SimContexts to
+/// the model.
 ///
 /// An Engine is built once and may run MANY simulations: reset() rewinds
 /// the backend between runs with every arena kept warm (event slabs,
@@ -284,7 +285,7 @@ class Engine {
 
   /// Rebinding reset that also installs a per-shard-pair lookahead
   /// matrix for the new routing (shards² entries or empty; see
-  /// ShardedSimulator::set_lookahead_matrix).  If matrix validation
+  /// ShardGroup::set_lookahead_matrix).  If matrix validation
   /// throws, the engine is left reset on the uniform scalar.
   void reset(std::vector<std::uint32_t> shard_of, Time lookahead,
              std::vector<Time> lookahead_matrix);
@@ -307,24 +308,19 @@ class Engine {
   /// SimContext::deliver call).
   void set_deliver(DeliverFn fn) { deliver_ = std::move(fn); }
 
-  /// Sharded only (no-op on Single — one kernel has no windows): install
-  /// a piecewise-constant lookahead plan for runs whose cross-shard edge
-  /// set changes mid-run (see ShardedSimulator::set_lookahead_plan for
-  /// the contract and the window-boundary remap rule).  Cleared by the
-  /// rebinding reset overload; retained across plain reset().
+  /// Sharded/Process only (no-op on Single — one kernel has no windows):
+  /// install a piecewise-constant lookahead plan for runs whose
+  /// cross-shard edge set changes mid-run (see
+  /// ShardGroup::set_lookahead_plan for the contract and the
+  /// window-boundary remap rule).  Cleared by the rebinding reset
+  /// overload; retained across plain reset().
   void set_lookahead_plan(std::vector<LookaheadEpoch> plan) {
-    if (sharded_ != nullptr) {
-      sharded_->set_lookahead_plan(std::move(plan));
-    } else if (process_ != nullptr) {
-      process_->set_lookahead_plan(std::move(plan));
-    }
+    if (group_ != nullptr) group_->set_lookahead_plan(std::move(plan));
   }
 
   /// Number of epochs in the installed plan (0 = uniform lookahead).
   std::size_t lookahead_plan_epochs() const {
-    if (sharded_ != nullptr) return sharded_->lookahead_plan().size();
-    if (process_ != nullptr) return process_->lookahead_plan().size();
-    return 0;
+    return group_ != nullptr ? group_->lookahead_plan().size() : 0;
   }
 
   /// Process only (no-op elsewhere — in-process backends read model state
@@ -384,6 +380,10 @@ class Engine {
   std::unique_ptr<Simulator> single_;
   std::unique_ptr<ShardedSimulator> sharded_;
   std::unique_ptr<ProcessSimulator> process_;
+  /// The rounds backend's shard group (null on Single): the plan, the
+  /// pair matrix and the shards are reached through it, whichever of
+  /// sharded_ / process_ owns it.
+  ShardGroup* group_ = nullptr;
   DeliverFn deliver_;
   std::vector<detail::ContextBackend> backends_;
 };

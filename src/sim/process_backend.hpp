@@ -23,9 +23,10 @@
 //      vote, kDone if the min is the empty sentinel or past the horizon,
 //      else kRun;
 //   3. every worker derives its shards' windows from the broadcast image
-//      through the SAME WindowPolicy (scalar + epoch plan + closed pair
-//      matrix) the in-process backend uses — identical math, identical
-//      windows — and runs each kernel over events strictly before w_i;
+//      through the SAME ShardGroup::window_end (scalar + epoch plan +
+//      closed pair matrix) the in-process backend uses — identical math,
+//      identical windows — and runs each kernel over events strictly
+//      before w_i;
 //   4. cross-PROCESS posts were staged in this process's copy-on-write
 //      copies of the destinations' mailboxes; the worker drains those
 //      copies into Handoff frames (seq stamps intact), sends them plus
@@ -62,8 +63,13 @@
 //
 // Lifecycle: channels and child processes exist only inside run(); a
 // returned (or thrown) run leaves no fd, mapping or zombie behind, which
-// the 100-reset leak test counts.  reset() rewinds shards/policy/telemetry
-// exactly like ShardedSimulator::reset.
+// the 100-reset leak test counts.  reset() is ShardGroup::reset plus the
+// aggregated telemetry, exactly like ShardedSimulator::reset.
+//
+// The shards, their mailbox graph, the lookahead structure and the
+// per-shard window end are the ShardGroup (sim/shard.hpp) the threaded
+// backend uses too; this class adds only fork, the hub relay, the wire
+// frames and reaping.
 
 #include <cstdint>
 #include <functional>
@@ -72,7 +78,6 @@
 
 #include "sim/shard.hpp"
 #include "sim/transport.hpp"
-#include "sim/window_policy.hpp"
 #include "util/types.hpp"
 
 namespace emcast::sim {
@@ -113,15 +118,12 @@ class ProcessSimulator {
   ProcessSimulator(const ProcessSimulator&) = delete;
   ProcessSimulator& operator=(const ProcessSimulator&) = delete;
 
-  std::size_t shard_count() const { return shards_.size(); }
+  /// The shards, their mailboxes and the lookahead structure — the same
+  /// ShardGroup class the threaded backend owns.  The message handler is
+  /// captured by the workers at fork time, so install it before run().
+  ShardGroup& group() { return group_; }
+  const ShardGroup& group() const { return group_; }
   std::size_t process_count() const { return processes_; }
-  Time lookahead() const { return config_.lookahead; }
-  Shard& shard(std::size_t i) { return *shards_[i]; }
-  const Shard& shard(std::size_t i) const { return *shards_[i]; }
-
-  /// Same contracts as the ShardedSimulator counterparts; handlers are
-  /// captured by the workers at fork time, so install before run().
-  void set_message_handler(ShardMsgHandler handler);
 
   /// Install the result marshalling hooks (both may be empty: results are
   /// then simply not carried back — telemetry still is, via Bye frames).
@@ -134,20 +136,9 @@ class ProcessSimulator {
   /// executes), so reset() + a model rebuild precede the next run.
   std::uint64_t run(Time until = kTimeInfinity);
 
-  /// Same contract as ShardedSimulator::reset (shards, policy, telemetry;
-  /// never allocates).  No channels or children exist between runs.
+  /// ShardGroup::reset plus the aggregated telemetry (never allocates).
+  /// No channels or children exist between runs.
   void reset(Time lookahead = 0.0);
-
-  /// Same contracts as the ShardedSimulator counterparts — the policy
-  /// object is the SAME class, so window math is shared, not mirrored.
-  void set_lookahead_plan(std::vector<LookaheadEpoch> plan);
-  const std::vector<LookaheadEpoch>& lookahead_plan() const {
-    return policy_.plan();
-  }
-  void set_lookahead_matrix(std::vector<Time> matrix);
-  const std::vector<Time>& lookahead_matrix() const {
-    return policy_.matrix();
-  }
 
   // -- telemetry (aggregated from the workers' Bye frames) ----------------
   std::uint64_t rounds() const { return rounds_; }
@@ -164,12 +155,11 @@ class ProcessSimulator {
   static void reap_all(std::vector<WorkerProc>& workers, bool kill_first,
                        double timeout);
 
-  void apply_shard_floor();
   std::size_t shard_begin(std::size_t w) const {
-    return w * shards_.size() / processes_;
+    return w * group_.shard_count() / processes_;
   }
   std::size_t shard_end(std::size_t w) const {
-    return (w + 1) * shards_.size() / processes_;
+    return (w + 1) * group_.shard_count() / processes_;
   }
   std::size_t owner_of(std::size_t shard) const;
 
@@ -178,11 +168,10 @@ class ProcessSimulator {
   /// Hub-side protocol; returns aggregate events executed.
   std::uint64_t hub_main(std::vector<WorkerProc>& workers, Time until);
 
-  ProcessConfig config_;
-  WindowPolicy policy_;
+  ShardGroup group_;
   std::size_t processes_ = 1;
-  std::vector<std::unique_ptr<Shard>> shards_;
-  ShardMsgHandler handler_;
+  TransportKind transport_ = TransportKind::Shm;
+  double timeout_seconds_ = 30.0;
   ShardResultWriter result_writer_;
   ShardResultReader result_reader_;
   std::uint64_t rounds_ = 0;

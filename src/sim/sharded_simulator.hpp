@@ -31,6 +31,11 @@
 // differential tests pin: single-threaded reference == 1 shard == K
 // shards, for every thread count.
 //
+// The shards, their mailbox graph, the lookahead structure and the
+// per-shard window end live in ShardGroup (sim/shard.hpp), shared with
+// the process backend; this class adds only the threads, the spin
+// barriers, the atomic min-reduction and the abort vote.
+//
 // Determinism vs. the unsharded Simulator holds at the model level: event
 // *times* are computed identically (same float operands in the same
 // order), so the set of (time, payload) tuples matches bit-for-bit;
@@ -46,7 +51,6 @@
 #include <vector>
 
 #include "sim/shard.hpp"
-#include "sim/window_policy.hpp"
 #include "util/barrier.hpp"
 #include "util/types.hpp"
 
@@ -71,7 +75,7 @@ struct ShardedConfig {
   /// delay of any cross-shard interaction from src into dst.  +infinity
   /// declares the ordered pair edge-free (no src->dst messages ever).
   /// Empty = the uniform scalar above bounds every pair.  See
-  /// ShardedSimulator::set_lookahead_matrix for the full contract.
+  /// ShardGroup::set_lookahead_matrix for the full contract.
   std::vector<Time> lookahead_matrix;
 };
 
@@ -82,99 +86,31 @@ class ShardedSimulator {
   ShardedSimulator(const ShardedSimulator&) = delete;
   ShardedSimulator& operator=(const ShardedSimulator&) = delete;
 
-  std::size_t shard_count() const { return shards_.size(); }
+  /// The shards, their mailboxes and the lookahead structure (plan,
+  /// matrix, floors) — shared with the process backend.
+  ShardGroup& group() { return group_; }
+  const ShardGroup& group() const { return group_; }
+  std::size_t shard_count() const { return group_.shard_count(); }
   std::size_t thread_count() const { return threads_; }
-  Time lookahead() const { return config_.lookahead; }
-  Shard& shard(std::size_t i) { return *shards_[i]; }
-  const Shard& shard(std::size_t i) const { return *shards_[i]; }
+  Time lookahead() const { return group_.lookahead(); }
+  Shard& shard(std::size_t i) { return group_.shard(i); }
+  const Shard& shard(std::size_t i) const { return group_.shard(i); }
 
   /// Install the model's cross-shard message handler (required before
   /// run() whenever shard_count() > 1 and any post() can happen).
-  void set_message_handler(ShardMsgHandler handler);
+  void set_message_handler(ShardMsgHandler handler) {
+    group_.set_message_handler(std::move(handler));
+  }
 
   /// Advance every shard until all queues drain or the global clock
   /// passes `until` (events at exactly `until` are executed, matching
   /// Simulator::run).  Returns the number of events executed this call.
   std::uint64_t run(Time until = kTimeInfinity);
 
-  /// Rewind every shard for another simulation, keeping all arenas warm:
-  /// per-shard kernels (reset_discarding — beyond-horizon leftovers are
-  /// expected after a bounded run), mailbox rings/spill vectors, drain
-  /// buffers.  Telemetry (rounds, events, messages) restarts at zero; the
-  /// message handler and the shard/thread topology are retained —
-  /// shard count, worker count and mailbox capacity are construction-time
-  /// choices.  `lookahead` <= 0 keeps the current value; a positive value
-  /// re-derives the conservative window width for the next run (it must
-  /// be finite, or std::invalid_argument).  Only callable between runs
-  /// (run() is synchronous; a reset issued from inside a model event
-  /// lands on a mid-run kernel and throws std::logic_error).  Never
-  /// allocates.
+  /// ShardGroup::reset (shards, mailboxes, lookahead structure) plus the
+  /// telemetry (rounds, events, messages restart at zero).  The worker
+  /// count is a construction-time choice.  Never allocates.
   void reset(Time lookahead = 0.0);
-
-  /// Install a piecewise-constant lookahead plan for subsequent runs —
-  /// the epoch-based remap used by churn experiments whose cross-shard
-  /// edge set changes mid-run (tree repairs add and remove edges, so the
-  /// minimum cross-shard delay is a step function of simulated time).
-  ///
-  /// Contract: during epoch e (from plan[e].from until plan[e+1].from),
-  /// every cross-shard post() issued at time u has deliver_at >=
-  /// u + plan[e].lookahead; before plan.front().from the construction
-  /// lookahead applies.  The window scheduler then derives each window as
-  ///
-  ///   w = min(tmin + L(tmin),  min over epoch starts b in (tmin, w) of
-  ///                            b + L(b))
-  ///
-  /// — a pure function of (tmin, plan), so the remap happens at a window
-  /// boundary, identically on every worker thread, and determinism across
-  /// shard/thread counts is untouched.  Safety: any post at u < w
-  /// satisfies deliver_at >= u + L(u) >= w by the clamping above.
-  ///
-  /// Epochs must be sorted by strictly increasing `from`, with every
-  /// lookahead finite and > 0.  Each shard's post()-assert floor becomes
-  /// min(construction lookahead, min over plan) while the plan is
-  /// installed.  An empty plan restores uniform-lookahead behaviour.
-  /// reset() with an explicit (positive) lookahead — the rebind seam the
-  /// Engine's remap overload drives — clears the plan, since it was
-  /// derived for the old routing; a keep-current reset(0) retains it, so
-  /// warm re-runs of the same schedule re-install nothing.
-  void set_lookahead_plan(std::vector<LookaheadEpoch> plan);
-  const std::vector<LookaheadEpoch>& lookahead_plan() const {
-    return policy_.plan();
-  }
-
-  /// Install a per-shard-pair lookahead matrix, flattened row-major
-  /// ([src * shards + dst]; shards² entries): matrix[src][dst] is a strict
-  /// lower bound on (deliver_at − post time) for every src→dst post, with
-  /// +infinity declaring the ordered pair edge-free (the scheduler then
-  /// derives no bound from it, and any src→dst post is a contract
-  /// violation).  The window scheduler widens each shard's window from
-  /// the uniform  w = tmin + L  to the per-shard
-  ///
-  ///   w_i = min over src j != i with a finite next-event time t_j of
-  ///         pair_window_end(t_j, j, i)
-  ///
-  /// — still conservative (any post from j at u >= t_j arrives at
-  /// >= u + L_eff[j][i] >= w_i; a drained shard executes nothing this
-  /// round, so it posts nothing and contributes no bound), still a pure
-  /// function of the shard time image + plan + matrix, so byte-identical
-  /// determinism across worker-thread counts is untouched.  Composition
-  /// with an installed lookahead plan is by min: the effective src→dst
-  /// bound at time u is min(matrix[src][dst], L_plan(u)) — always safe,
-  /// because the plan's epoch scalar is itself a valid global bound even
-  /// where churn has invalidated the static matrix.  Without a plan the
-  /// matrix entry applies alone (that is the whole widening).
-  ///
-  /// Off-diagonal entries must be > 0 (finite or +infinity); diagonal
-  /// entries are ignored.  An empty matrix restores the uniform scalar.
-  /// reset() with an explicit (positive) lookahead — the rebind seam —
-  /// clears the matrix along with the plan: both were derived for the
-  /// previous routing, and the explicit scalar rebuilds the uniform
-  /// bound (equivalent to a uniform matrix of that scalar).  A
-  /// keep-current reset(0) retains it.
-  void set_lookahead_matrix(std::vector<Time> matrix);
-  const std::vector<Time>& lookahead_matrix() const {
-    return policy_.matrix();
-  }
 
   // -- telemetry ----------------------------------------------------------
   std::uint64_t rounds() const { return rounds_; }
@@ -186,7 +122,6 @@ class ShardedSimulator {
   void worker(std::size_t t, Time until);
   void worker_rounds(std::size_t t, Time until);
   void record_error() noexcept;
-  void apply_shard_floor();
 
   /// One cache line per shard: its next-event time key, published by the
   /// owning worker during the drain phase and read by every worker at the
@@ -198,16 +133,10 @@ class ShardedSimulator {
     std::atomic<std::uint64_t> key{0};
   };
 
-  ShardedConfig config_;
-  /// The window math (scalar + epoch plan + closed pair matrix) — shared
-  /// with the process backend, so both derive identical windows from the
-  /// same published time keys.  Immutable while run() is in flight;
-  /// workers only read it.
-  WindowPolicy policy_;
+  ShardGroup group_;
+  bool pin_threads_ = false;
   std::size_t threads_ = 1;
-  std::vector<std::unique_ptr<Shard>> shards_;
   std::unique_ptr<PaddedKey[]> shard_key_;  ///< per-shard time image
-  ShardMsgHandler handler_;
   util::SpinBarrier barrier_;
 
   /// Double-buffered min-reduction over next-event time keys, indexed by

@@ -8,10 +8,8 @@
 //                    fork(), so both processes address the same pages.
 //                    The local (same-host) fast path: no syscalls per
 //                    frame, spin-plus-yield waits.
-//   sockets        — length-prefixed frames over a connected stream
-//                    socket: an AF_UNIX socketpair for fork-local use,
-//                    or TCP listen/accept + connect with deadlines for
-//                    the cross-host path.
+//   sockets        — length-prefixed frames over an AF_UNIX
+//                    socketpair created before fork().
 //
 // Framing is identical on both: [u32 length][payload bytes], payload
 // being one complete wire-codec frame (sim/wire_codec.hpp).  Frames may
@@ -27,7 +25,11 @@
 //     on the worker side) is polled while waiting: a dead peer turns the
 //     wait into an immediate TransportError carrying the probe's
 //     diagnostic (exit status / signal), which is how a killed worker
-//     mid-window surfaces as a clean abort instead of a hang;
+//     mid-window surfaces as a clean abort instead of a hang.  A frame
+//     the peer completed before it died is still delivered: recv_frame
+//     polls once more after the probe reports death, because a worker
+//     that sends its last frame and exits can otherwise be seen dead
+//     before its frame is read;
 //   - a closed/reset socket (EOF, EPIPE, ECONNRESET) is a TransportError
 //     at the next operation.
 //
@@ -47,7 +49,7 @@ namespace emcast::sim {
 /// Transport selection for the process backend (EngineConfig::transport).
 enum class TransportKind {
   Shm,     ///< shared-memory rings (same host; the default)
-  Socket,  ///< stream-socket frames (socketpair locally, TCP across hosts)
+  Socket,  ///< stream-socket frames over an AF_UNIX socketpair
 };
 
 const char* to_string(TransportKind kind);
@@ -90,7 +92,8 @@ class Channel {
   virtual bool try_recv_frame(std::vector<std::uint8_t>& out) = 0;
 
   /// Blocking receive with the channel deadline; TransportError on
-  /// timeout, EOF or peer death.
+  /// timeout, EOF or peer death (after one last poll, so a frame the
+  /// peer finished sending before it died is returned, not lost).
   void recv_frame(std::vector<std::uint8_t>& out);
 
  protected:
@@ -118,22 +121,7 @@ struct ChannelPair {
 /// `ring_bytes` is the per-direction ring capacity.
 ChannelPair make_shm_pair(std::size_t ring_bytes = 1u << 18);
 
-/// AF_UNIX socketpair: the fork-local socket flavour.
+/// AF_UNIX socketpair: like the shm pair, create it before fork().
 ChannelPair make_socket_pair();
-
-/// TCP cross-host path: bind/listen on `port` (0 = ephemeral; see
-/// bound_port on the result) and accept one peer within `timeout`
-/// seconds; TransportError on timeout.
-struct ListenResult {
-  std::unique_ptr<Channel> channel;
-  std::uint16_t bound_port = 0;
-};
-ListenResult socket_listen_accept(std::uint16_t port, double timeout_seconds);
-
-/// Connect to host:port within `timeout` seconds; TransportError on
-/// refusal or timeout.
-std::unique_ptr<Channel> socket_connect(const std::string& host,
-                                        std::uint16_t port,
-                                        double timeout_seconds);
 
 }  // namespace emcast::sim

@@ -21,7 +21,7 @@
 namespace emcast::sim {
 
 /// One epoch of a piecewise-constant lookahead plan (see
-/// WindowPolicy::set_plan / ShardedSimulator::set_lookahead_plan): from
+/// WindowPolicy::set_plan / ShardGroup::set_lookahead_plan): from
 /// simulated time `from` onwards — until the next epoch — every
 /// cross-shard interaction takes at least `lookahead` of simulated time.
 struct LookaheadEpoch {
@@ -60,7 +60,7 @@ class WindowPolicy {
   /// Install a piecewise-constant lookahead plan.  Epochs must be sorted
   /// by strictly increasing finite `from`, every lookahead finite and
   /// > 0; an empty plan restores uniform behaviour.  Contract and the
-  /// window-boundary remap rule: ShardedSimulator::set_lookahead_plan.
+  /// window-boundary remap rule: ShardGroup::set_lookahead_plan.
   void set_plan(std::vector<LookaheadEpoch> plan);
   const std::vector<LookaheadEpoch>& plan() const { return plan_; }
 
@@ -74,7 +74,7 @@ class WindowPolicy {
   /// executions can reflect off a neighbour and return — windows derived
   /// from unclosed entries would let a shard run ahead of relayed or
   /// reflected traffic.  Full contract:
-  /// ShardedSimulator::set_lookahead_matrix.
+  /// ShardGroup::set_lookahead_matrix.
   void set_matrix(std::vector<Time> matrix);
   const std::vector<Time>& matrix() const { return matrix_; }
 

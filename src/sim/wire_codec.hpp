@@ -20,7 +20,7 @@
 // Versioning: kWireVersion stamps every frame.  A peer built from a
 // different commit with a different layout fails the version check on the
 // FIRST frame (the hello handshake), with a diagnostic naming both sides'
-// versions — the cross-host failure mode this codec exists to catch.
+// versions — the mixed-build failure mode this codec exists to catch.
 //
 // Determinism: doubles travel as IEEE-754 bit patterns (util/bytes.hpp),
 // so a CrossShardMsg decodes to the identical bits that were encoded and

@@ -234,6 +234,30 @@ TEST(MultiGroupConfigValidation, RejectsBadFailureKnobs) {
   c.churn.enabled = true;
   c.churn.crash_fraction = 2.0;
   EXPECT_THROW(run_multigroup(c), std::invalid_argument);
+  c.churn = ChurnConfig{};
+  // Run window: each of these used to exit 0 with zero deliveries.
+  c.duration = 0.0;
+  EXPECT_THROW(run_multigroup(c), std::invalid_argument);
+  c.duration = -1.0;
+  EXPECT_THROW(run_multigroup(c), std::invalid_argument);
+  c.duration = 0.1;
+  c.warmup = -0.05;
+  EXPECT_THROW(run_multigroup(c), std::invalid_argument);
+  c.warmup = 0.1;  // == duration: nothing left to measure
+  EXPECT_THROW(run_multigroup(c), std::invalid_argument);
+  c.warmup = 0.0;
+  // More shards than hosts used to die in bad_alloc on the shards²
+  // lookahead matrix, on both rounds engines.
+  for (const sim::EngineKind kind :
+       {sim::EngineKind::Sharded, sim::EngineKind::Process}) {
+    c.engine = kind;
+    c.shards = 100000;
+    EXPECT_THROW(run_multigroup(c), std::invalid_argument)
+        << sim::to_string(kind);
+    c.shards = c.hosts + 1;
+    EXPECT_THROW(run_multigroup(c), std::invalid_argument)
+        << sim::to_string(kind);
+  }
 }
 
 }  // namespace

@@ -6,17 +6,21 @@
 // count, every worker-thread count, and every mailbox capacity (including
 // ones tiny enough to force the spill path) — and that trace is the one
 // pinned by hash below.  Plus direct ShardedSimulator
-// mechanics: window progression, message ordering, error propagation.
+// mechanics: window progression, message ordering, error propagation —
+// and the shard group's lookahead rules on both rounds backends.
 
 #include <atomic>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "experiments/multigroup_sim.hpp"
+#include "sim/process_backend.hpp"
 #include "sim/sharded_simulator.hpp"
 
 namespace emcast {
@@ -215,14 +219,13 @@ TEST(ShardedSimulator, LookaheadPlanValidatesItsEpochs) {
   cfg.shards = 2;
   cfg.lookahead = 0.5;
   sim::ShardedSimulator sharded(cfg);
-  EXPECT_THROW(
-      sharded.set_lookahead_plan({{0.0, 0.5}, {1.0, 0.0}}),  // zero width
-      std::invalid_argument);
-  EXPECT_THROW(
-      sharded.set_lookahead_plan({{1.0, 0.5}, {1.0, 0.25}}),  // not increasing
-      std::invalid_argument);
-  EXPECT_NO_THROW(sharded.set_lookahead_plan({{0.0, 0.5}, {2.0, 0.25}}));
-  EXPECT_EQ(sharded.lookahead_plan().size(), 2u);
+  sim::ShardGroup& group = sharded.group();
+  EXPECT_THROW(group.set_lookahead_plan({{0.0, 0.5}, {1.0, 0.0}}),  // zero
+               std::invalid_argument);
+  EXPECT_THROW(group.set_lookahead_plan({{1.0, 0.5}, {1.0, 0.25}}),  // order
+               std::invalid_argument);
+  EXPECT_NO_THROW(group.set_lookahead_plan({{0.0, 0.5}, {2.0, 0.25}}));
+  EXPECT_EQ(group.lookahead_plan().size(), 2u);
 }
 
 TEST(ShardedSimulator, LookaheadPlanChangesWindowWidthMidRun) {
@@ -236,7 +239,7 @@ TEST(ShardedSimulator, LookaheadPlanChangesWindowWidthMidRun) {
   cfg.threads = 2;
   cfg.lookahead = 0.25;  // uniform floor: min over the plan
   sim::ShardedSimulator sharded(cfg);
-  sharded.set_lookahead_plan({{0.0, 0.5}, {2.0, 0.25}});
+  sharded.group().set_lookahead_plan({{0.0, 0.5}, {2.0, 0.25}});
 
   auto epoch_lookahead = [](Time now) { return now < 2.0 ? 0.5 : 0.25; };
   std::vector<Time> arrivals[2];
@@ -273,41 +276,6 @@ TEST(ShardedSimulator, LookaheadPlanChangesWindowWidthMidRun) {
   }
 }
 
-TEST(ShardedSimulator, ExplicitLookaheadResetClearsThePlan) {
-  sim::ShardedConfig cfg;
-  cfg.shards = 2;
-  cfg.lookahead = 0.25;
-  sim::ShardedSimulator sharded(cfg);
-  sharded.set_lookahead_plan({{0.0, 0.5}, {2.0, 0.25}});
-  ASSERT_EQ(sharded.lookahead_plan().size(), 2u);
-  sharded.reset(0.0);  // keep-current reset: plan survives for a rerun
-  EXPECT_EQ(sharded.lookahead_plan().size(), 2u);
-  sharded.reset(0.3);  // rebind seam: a new run means a new plan
-  EXPECT_TRUE(sharded.lookahead_plan().empty());
-}
-
-TEST(ShardedSimulator, LookaheadMatrixValidatesEntries) {
-  sim::ShardedConfig cfg;
-  cfg.shards = 2;
-  cfg.lookahead = 0.5;
-  sim::ShardedSimulator sharded(cfg);
-  // Wrong size: 2 shards need 4 entries.
-  EXPECT_THROW(sharded.set_lookahead_matrix({0.5, 0.5, 0.5}),
-               std::invalid_argument);
-  // Off-diagonal entries must be > 0 (NaN rejected by the same negated
-  // comparison); +infinity marks an edge-free pair and is legal.
-  EXPECT_THROW(
-      sharded.set_lookahead_matrix({0.0, 0.0, 1.0, 0.0}),
-      std::invalid_argument);
-  EXPECT_THROW(sharded.set_lookahead_matrix(
-                   {0.0, std::numeric_limits<Time>::quiet_NaN(), 1.0, 0.0}),
-               std::invalid_argument);
-  EXPECT_NO_THROW(sharded.set_lookahead_matrix(
-      {kTimeInfinity, 0.5, kTimeInfinity, kTimeInfinity}));
-  EXPECT_NO_THROW(sharded.set_lookahead_matrix({}));  // back to uniform
-  EXPECT_TRUE(sharded.lookahead_matrix().empty());
-}
-
 TEST(ShardedSimulator, LookaheadMatrixStoresTheMinPlusClosure) {
   // Direct entries only bound direct posts; the installed matrix must be
   // the min-plus closure so windows respect relayed traffic (0 -> 1 -> 2
@@ -318,12 +286,12 @@ TEST(ShardedSimulator, LookaheadMatrixStoresTheMinPlusClosure) {
   cfg.lookahead = 0.1;
   sim::ShardedSimulator sharded(cfg);
   const Time inf = kTimeInfinity;
-  sharded.set_lookahead_matrix({
+  sharded.group().set_lookahead_matrix({
       inf, 0.1, inf,   // 0 -> 1 tight, no direct 0 -> 2
       0.2, inf, 0.1,   // 1 -> 0 and 1 -> 2
       inf, inf, inf,   // shard 2 posts to no one
   });
-  const auto& m = sharded.lookahead_matrix();
+  const auto& m = sharded.group().lookahead_matrix();
   ASSERT_EQ(m.size(), 9u);
   EXPECT_DOUBLE_EQ(m[0 * 3 + 1], 0.1);
   EXPECT_DOUBLE_EQ(m[0 * 3 + 2], 0.1 + 0.1);  // through shard 1
@@ -334,26 +302,101 @@ TEST(ShardedSimulator, LookaheadMatrixStoresTheMinPlusClosure) {
   EXPECT_EQ(m[2 * 3 + 2], inf);
 }
 
-TEST(ShardedSimulator, ExplicitLookaheadResetClearsTheMatrix) {
+// ---- the shard group, on both rounds backends ---------------------------
+//
+// The plan, the pair matrix, the post floors and the reset rebind rule live
+// in one ShardGroup that ShardedSimulator and ProcessSimulator each own;
+// these run against both, through each backend's own reset().  Nothing
+// here calls run(), so the process backend never forks.
+
+class RoundsBackendLookahead
+    : public ::testing::TestWithParam<sim::EngineKind> {
+ protected:
+  sim::ShardGroup& make(std::size_t shards, Time lookahead) {
+    if (GetParam() == sim::EngineKind::Sharded) {
+      sim::ShardedConfig cfg;
+      cfg.shards = shards;
+      cfg.lookahead = lookahead;
+      sharded_ = std::make_unique<sim::ShardedSimulator>(cfg);
+      return sharded_->group();
+    }
+    sim::ProcessConfig cfg;
+    cfg.shards = shards;
+    cfg.lookahead = lookahead;
+    process_ = std::make_unique<sim::ProcessSimulator>(cfg);
+    return process_->group();
+  }
+
+  void reset(Time lookahead) {
+    if (sharded_ != nullptr) {
+      sharded_->reset(lookahead);
+    } else {
+      process_->reset(lookahead);
+    }
+  }
+
+ private:
+  std::unique_ptr<sim::ShardedSimulator> sharded_;
+  std::unique_ptr<sim::ProcessSimulator> process_;
+};
+
+INSTANTIATE_TEST_SUITE_P(
+    Backends, RoundsBackendLookahead,
+    ::testing::Values(sim::EngineKind::Sharded, sim::EngineKind::Process),
+    [](const ::testing::TestParamInfo<sim::EngineKind>& info) {
+      return std::string(sim::to_string(info.param));
+    });
+
+TEST_P(RoundsBackendLookahead, ExplicitLookaheadResetClearsThePlan) {
+  sim::ShardGroup& group = make(2, 0.4);
+  group.set_lookahead_plan({{0.0, 0.5}, {2.0, 0.25}});
+  ASSERT_EQ(group.lookahead_plan().size(), 2u);
+  reset(0.0);  // keep-current reset: plan survives for a rerun
+  EXPECT_EQ(group.lookahead_plan().size(), 2u);
+  // ...and so does its post floor, the weakest epoch guarantee.
+  EXPECT_DOUBLE_EQ(group.shard(0).lookahead(), 0.25);
+  reset(0.3);  // rebind seam: a new run means a new plan
+  EXPECT_TRUE(group.lookahead_plan().empty());
+  EXPECT_DOUBLE_EQ(group.lookahead(), 0.3);
+  EXPECT_DOUBLE_EQ(group.shard(1).lookahead(), 0.3);
+}
+
+TEST_P(RoundsBackendLookahead, LookaheadMatrixValidatesEntries) {
+  sim::ShardGroup& group = make(2, 0.5);
+  // Wrong size: 2 shards need 4 entries.
+  EXPECT_THROW(group.set_lookahead_matrix({0.5, 0.5, 0.5}),
+               std::invalid_argument);
+  // Off-diagonal entries must be > 0 (NaN rejected by the same negated
+  // comparison); +infinity marks an edge-free pair and is legal.
+  EXPECT_THROW(group.set_lookahead_matrix({0.0, 0.0, 1.0, 0.0}),
+               std::invalid_argument);
+  EXPECT_THROW(group.set_lookahead_matrix(
+                   {0.0, std::numeric_limits<Time>::quiet_NaN(), 1.0, 0.0}),
+               std::invalid_argument);
+  EXPECT_NO_THROW(group.set_lookahead_matrix(
+      {kTimeInfinity, 0.5, kTimeInfinity, kTimeInfinity}));
+  EXPECT_NO_THROW(group.set_lookahead_matrix({}));  // back to uniform
+  EXPECT_TRUE(group.lookahead_matrix().empty());
+}
+
+TEST_P(RoundsBackendLookahead, ExplicitLookaheadResetClearsTheMatrix) {
   // The regression this pins: reset with an explicit scalar while a pair
   // matrix is installed must fall back to the uniform bound (an empty
   // matrix IS a uniform matrix of that scalar) — a stale matrix derived
   // for the old routing would silently mis-window the next run.
-  sim::ShardedConfig cfg;
-  cfg.shards = 2;
-  cfg.lookahead = 0.25;
-  sim::ShardedSimulator sharded(cfg);
-  sharded.set_lookahead_matrix({kTimeInfinity, 0.5, 1.0, kTimeInfinity});
-  ASSERT_FALSE(sharded.lookahead_matrix().empty());
-  EXPECT_DOUBLE_EQ(sharded.shard(0).post_floor(1), 0.5);
-  EXPECT_DOUBLE_EQ(sharded.shard(1).post_floor(0), 1.0);
-  sharded.reset(0.0);  // keep-current: matrix survives for a warm rerun
-  EXPECT_FALSE(sharded.lookahead_matrix().empty());
-  EXPECT_DOUBLE_EQ(sharded.shard(0).post_floor(1), 0.5);
-  sharded.reset(0.3);  // explicit scalar: back to the uniform bound
-  EXPECT_TRUE(sharded.lookahead_matrix().empty());
-  EXPECT_DOUBLE_EQ(sharded.shard(0).post_floor(1), 0.3);
-  EXPECT_DOUBLE_EQ(sharded.shard(1).post_floor(0), 0.3);
+  sim::ShardGroup& group = make(2, 0.25);
+  group.set_lookahead_matrix({kTimeInfinity, 0.5, 1.0, kTimeInfinity});
+  ASSERT_FALSE(group.lookahead_matrix().empty());
+  EXPECT_DOUBLE_EQ(group.shard(0).post_floor(1), 0.5);
+  EXPECT_DOUBLE_EQ(group.shard(1).post_floor(0), 1.0);
+  reset(0.0);  // keep-current: matrix and its floors survive a warm rerun
+  EXPECT_FALSE(group.lookahead_matrix().empty());
+  EXPECT_DOUBLE_EQ(group.shard(0).post_floor(1), 0.5);
+  EXPECT_DOUBLE_EQ(group.shard(1).post_floor(0), 1.0);
+  reset(0.3);  // explicit scalar: back to the uniform bound
+  EXPECT_TRUE(group.lookahead_matrix().empty());
+  EXPECT_DOUBLE_EQ(group.shard(0).post_floor(1), 0.3);
+  EXPECT_DOUBLE_EQ(group.shard(1).post_floor(0), 0.3);
 }
 
 TEST(ShardedSimAsymmetric, PairMatrixWidensWindowsWithoutChangingTheTrace) {
