@@ -123,7 +123,6 @@ bool engine_reusable(const sim::Engine& engine,
   }
   if (ec.kind == sim::EngineKind::Process) {
     return ec.processes == config.processes &&
-           ec.transport == config.transport &&
            ec.timeout_seconds == config.process_timeout_seconds;
   }
   return ec.threads == config.threads;
@@ -212,6 +211,12 @@ MultiGroupSimResult run_multigroup(const MultiGroupSimConfig& config,
     throw std::invalid_argument(
         "run_multigroup: loss_burst must be >= 1 (mean burst length)");
   }
+  // ρ̄ sizes every uplink as total rate / ρ̄: 0 divides by zero, above 1
+  // every uplink is overloaded, and NaN would fail deep in the kernel.
+  if (!(config.utilization > 0.0 && config.utilization <= 1.0)) {
+    throw std::invalid_argument(
+        "run_multigroup: utilization (rho-bar) must be in (0, 1]");
+  }
   // Run window and partition: a non-positive duration or a warmup that
   // swallows it used to "succeed" with zero deliveries, and more shards
   // than hosts sized the shards² lookahead matrix into bad_alloc.
@@ -297,7 +302,6 @@ MultiGroupSimResult run_multigroup(const MultiGroupSimConfig& config,
     if (config.engine == sim::EngineKind::Process) {
       setup.engine.kind = sim::EngineKind::Process;
       setup.engine.processes = config.processes;
-      setup.engine.transport = config.transport;
       setup.engine.timeout_seconds = config.process_timeout_seconds;
     }
     r.cross_edges = setup.cross_edges;

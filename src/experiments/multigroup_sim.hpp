@@ -128,7 +128,7 @@ struct MultiGroupSimConfig {
   std::size_t shards = 1;        ///< Sharded/Process: model partitions
   std::size_t threads = 0;       ///< Sharded: workers; 0 = auto
   std::size_t processes = 0;     ///< Process: workers; 0 = auto
-  /// Process: hub<->worker transport (shared-memory rings or sockets).
+  /// Unread; kept until the next benchmark change (perfbench.cpp sets it).
   sim::TransportKind transport = sim::TransportKind::Shm;
   /// Process: deadline for every blocking protocol step.
   double process_timeout_seconds = 30.0;

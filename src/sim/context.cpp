@@ -69,7 +69,6 @@ Engine::Engine(EngineConfig config) : config_(std::move(config)) {
     pc.processes = config_.processes;
     pc.lookahead = config_.lookahead;
     pc.mailbox_capacity = config_.mailbox_capacity;
-    pc.transport = config_.transport;
     pc.timeout_seconds = config_.timeout_seconds;
     pc.lookahead_matrix = config_.lookahead_matrix;
     process_ = std::make_unique<ProcessSimulator>(pc);

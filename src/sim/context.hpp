@@ -197,8 +197,8 @@ static_assert(sizeof(SimContext) == 16, "SimContext is a two-pointer handle");
 /// models written against SimContext produce byte-identical traces on
 /// all three (given the model's event times are tie-free across hosts —
 /// see docs/engine.md).  Process runs the same conservative-rounds
-/// protocol as Sharded, but with one OS process per shard group and a
-/// wire transport instead of shared-memory rings — the distributed
+/// protocol as Sharded, but with one OS process per shard group and the
+/// round traffic carried as wire frames through a hub — the distributed
 /// backend (sim/process_backend.hpp).
 enum class EngineKind { Single, Sharded, Process };
 
@@ -234,8 +234,6 @@ struct EngineConfig {
   /// throughput knob like `threads` — results are identical for every
   /// value (same contiguous shard blocks).
   std::size_t processes = 0;
-  /// Hub <-> worker transport: shared-memory rings or stream sockets.
-  TransportKind transport = TransportKind::Shm;
   /// Deadline for every blocking channel operation on the process
   /// backend; a wedged peer surfaces as std::runtime_error after this.
   double timeout_seconds = 30.0;

@@ -74,7 +74,6 @@ void ProcessSimulator::reap_all(std::vector<WorkerProc>& workers,
 ProcessSimulator::ProcessSimulator(const ProcessConfig& config)
     : group_(config.shards, config.lookahead, config.mailbox_capacity,
              config.lookahead_matrix),
-      transport_(config.transport),
       timeout_seconds_(config.timeout_seconds) {
   if (!(config.timeout_seconds > 0)) {
     throw std::invalid_argument("ProcessSimulator: timeout must be > 0");
@@ -115,13 +114,11 @@ void ProcessSimulator::reset(Time lookahead) {
 
 std::uint64_t ProcessSimulator::run(Time until) {
   // Channels first, THEN fork: the shm mappings must predate the children
-  // to be shared, and socketpairs must exist for both sides to inherit.
+  // to be shared.
   std::vector<ChannelPair> pairs;
   pairs.reserve(processes_);
   for (std::size_t w = 0; w < processes_; ++w) {
-    pairs.push_back(transport_ == TransportKind::Shm
-                        ? make_shm_pair()
-                        : make_socket_pair());
+    pairs.push_back(make_shm_pair());
   }
 
   std::vector<WorkerProc> workers(processes_);
@@ -133,11 +130,10 @@ std::uint64_t ProcessSimulator::run(Time until) {
       throw std::runtime_error("process backend: fork failed: " + err);
     }
     if (pid == 0) {
-      // Child: keep only this worker's end; dropping the rest closes the
-      // inherited hub-side fds (socket EOF semantics need that) and
-      // unmaps the other pairs' rings in this process.  A dying hub
-      // takes the worker with it (PDEATHSIG) even if the worker is
-      // compute-bound and not watching the channel.
+      // Child: keep only this worker's end; dropping the rest unmaps the
+      // other pairs' rings in this process.  A dying hub takes the worker
+      // with it (PDEATHSIG) even if the worker is compute-bound and not
+      // watching the channel.
       std::unique_ptr<Channel> mine = std::move(pairs[w].worker_end);
       pairs.clear();
       workers.clear();
@@ -172,7 +168,7 @@ std::uint64_t ProcessSimulator::run(Time until) {
   } catch (const TransportError& e) {
     // A dead or wedged worker: the run is unrecoverable, but the FAILURE
     // must be clean — kill the survivors, reap everything, surface the
-    // channel's diagnostic.  No hang, no zombie, no leaked fd.
+    // channel's diagnostic.  No hang, no zombie, no leaked mapping.
     reap_all(workers, /*kill_first=*/true, timeout_seconds_);
     throw std::runtime_error(std::string("process backend: ") + e.what());
   } catch (const wire::WireError& e) {

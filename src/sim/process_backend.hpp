@@ -62,7 +62,7 @@
 //   - a worker whose hub vanishes sees getppid() change and exits.
 //
 // Lifecycle: channels and child processes exist only inside run(); a
-// returned (or thrown) run leaves no fd, mapping or zombie behind, which
+// returned (or thrown) run leaves no mapping or zombie behind, which
 // the 100-reset leak test counts.  reset() is ShardGroup::reset plus the
 // aggregated telemetry, exactly like ShardedSimulator::reset.
 //
@@ -91,8 +91,6 @@ struct ProcessConfig {
   /// Conservative lookahead (same contract as ShardedConfig::lookahead).
   Time lookahead = 0;
   std::size_t mailbox_capacity = 4096;
-  /// Shared-memory rings or stream sockets between hub and workers.
-  TransportKind transport = TransportKind::Shm;
   /// Deadline for every blocking channel operation; a protocol stall
   /// (peer wedged, not dead) surfaces as a runtime_error after this long.
   double timeout_seconds = 30.0;
@@ -170,7 +168,6 @@ class ProcessSimulator {
 
   ShardGroup group_;
   std::size_t processes_ = 1;
-  TransportKind transport_ = TransportKind::Shm;
   double timeout_seconds_ = 30.0;
   ShardResultWriter result_writer_;
   ShardResultReader result_reader_;

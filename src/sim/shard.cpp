@@ -2,9 +2,16 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <stdexcept>
 
 namespace emcast::sim {
+namespace {
+
+/// Ceiling on the ring slots of a whole mailbox graph.
+constexpr double kMailboxBudgetBytes = 1024.0 * 1024.0 * 1024.0;
+
+}  // namespace
 
 void Shard::reset(Time lookahead) {
   sim_.reset_discarding(0.0);
@@ -47,6 +54,22 @@ ShardGroup::ShardGroup(std::size_t shards, Time lookahead,
                        std::size_t mailbox_capacity,
                        std::vector<Time> lookahead_matrix) {
   const std::size_t n = std::max<std::size_t>(1, shards);
+  // Every ordered pair owns a ring of the power-of-two-rounded capacity;
+  // 120 shards at 4096 slots would ask for 4.7 GB before the first event.
+  double slots = 1.0;
+  while (slots < static_cast<double>(mailbox_capacity)) slots *= 2.0;
+  const double ring_bytes = static_cast<double>(n) *
+                            static_cast<double>(n - 1) * slots *
+                            static_cast<double>(sizeof(CrossShardMsg));
+  if (ring_bytes > kMailboxBudgetBytes) {
+    char msg[160];
+    std::snprintf(msg, sizeof msg,
+                  "ShardGroup: mailbox rings need %.0f bytes, over the "
+                  "%.0f-byte budget (fewer shards or a smaller "
+                  "mailbox_capacity)",
+                  ring_bytes, kMailboxBudgetBytes);
+    throw std::invalid_argument(msg);
+  }
   policy_.init(n, lookahead);  // validates the scalar
   shards_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {

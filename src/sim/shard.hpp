@@ -145,7 +145,8 @@ class ShardGroup {
  public:
   /// `shards` (at least 1) kernels, every ordered pair wired through a
   /// mailbox of `mailbox_capacity` ring slots.  The scalar lookahead must
-  /// be finite and > 0 (std::invalid_argument); a non-empty
+  /// be finite and > 0, and the S·(S−1) rings, allocated up front, must
+  /// fit a 1 GiB budget (std::invalid_argument otherwise); a non-empty
   /// `lookahead_matrix` installs exactly like set_lookahead_matrix.
   ShardGroup(std::size_t shards, Time lookahead, std::size_t mailbox_capacity,
              std::vector<Time> lookahead_matrix);

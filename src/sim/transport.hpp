@@ -1,26 +1,20 @@
 #pragma once
 // Byte transport of the process-per-shard backend: a frame-oriented duplex
-// Channel between the hub (parent) process and one worker process.  Two
-// implementations behind one interface:
+// Channel between the hub (parent) process and one worker process, built
+// on a pair of lock-free SPSC byte rings in one MAP_SHARED | MAP_ANONYMOUS
+// mapping created BEFORE fork(), so both processes address the same
+// pages.  No syscalls per frame; blocked waits spin and yield.
 //
-//   shared memory  — a pair of lock-free SPSC byte rings in one
-//                    MAP_SHARED | MAP_ANONYMOUS mapping created BEFORE
-//                    fork(), so both processes address the same pages.
-//                    The local (same-host) fast path: no syscalls per
-//                    frame, spin-plus-yield waits.
-//   sockets        — length-prefixed frames over an AF_UNIX
-//                    socketpair created before fork().
-//
-// Framing is identical on both: [u32 length][payload bytes], payload
-// being one complete wire-codec frame (sim/wire_codec.hpp).  Frames may
-// exceed the ring/socket buffer: send() streams the bytes as space frees
-// and try_recv_frame() reassembles across reads, so a 10-MB handoff batch
-// moves through a 256-KB ring correctly (just with more wakeups).
+// Framing: [u32 length][payload bytes], payload being one complete
+// wire-codec frame (sim/wire_codec.hpp).  Frames may exceed the ring:
+// send_frame() streams the bytes as space frees and try_recv_frame()
+// reassembles across reads, so a 10-MB handoff batch moves through a
+// 256-KB ring correctly (just with more wakeups).
 //
 // Failure semantics — the part the robustness tests pin:
-//   - every blocking operation (send against a full ring/socket,
-//     recv_frame) carries a deadline; exceeding it throws TransportError
-//     ("timeout after N s"), never hangs;
+//   - every blocking operation (send against a full ring, recv_frame)
+//     carries a deadline; exceeding it throws TransportError ("timeout
+//     after N s"), never hangs;
 //   - an installed peer probe (waitpid on the hub side, parent-pid watch
 //     on the worker side) is polled while waiting: a dead peer turns the
 //     wait into an immediate TransportError carrying the probe's
@@ -29,13 +23,11 @@
 //     the peer completed before it died is still delivered: recv_frame
 //     polls once more after the probe reports death, because a worker
 //     that sends its last frame and exits can otherwise be seen dead
-//     before its frame is read;
-//   - a closed/reset socket (EOF, EPIPE, ECONNRESET) is a TransportError
-//     at the next operation.
+//     before its frame is read.
 //
-// Channels own their OS resources (fds, mappings) and release them in the
-// destructor — the no-fd/shm-leak-across-resets regression test counts on
-// exactly that.
+// The two ends of a pair share the mapping; each process unmaps it when
+// its last end is destroyed — the no-leak-across-resets regression test
+// counts the mapped rings on exactly that.
 
 #include <cstdint>
 #include <functional>
@@ -46,13 +38,8 @@
 
 namespace emcast::sim {
 
-/// Transport selection for the process backend (EngineConfig::transport).
-enum class TransportKind {
-  Shm,     ///< shared-memory rings (same host; the default)
-  Socket,  ///< stream-socket frames over an AF_UNIX socketpair
-};
-
-const char* to_string(TransportKind kind);
+/// Unread; kept until the next benchmark change (perfbench.cpp sets it).
+enum class TransportKind { Shm };
 
 class TransportError : public std::runtime_error {
  public:
@@ -60,12 +47,26 @@ class TransportError : public std::runtime_error {
       : std::runtime_error(what) {}
 };
 
+/// Reassembles [u32 length][payload] frames from a byte stream that
+/// arrives in arbitrary chunks.  `off_` defers the O(n) compaction until
+/// the buffer fully drains (the common case between rounds).
+class FrameAssembler {
+ public:
+  void append(const std::uint8_t* p, std::size_t n);
+  bool extract(std::vector<std::uint8_t>& out);
+
+ private:
+  std::vector<std::uint8_t> buf_;
+  std::size_t off_ = 0;
+};
+
+struct ChannelPair;
+
 /// One duplex frame channel between two processes.  NOT thread-safe: one
 /// thread per direction per end (the process backend is single-threaded
 /// in each process, so one thread total per end).
 class Channel {
  public:
-  virtual ~Channel() = default;
   Channel(const Channel&) = delete;
   Channel& operator=(const Channel&) = delete;
 
@@ -80,30 +81,47 @@ class Channel {
     probe_ = std::move(probe);
   }
 
-  /// Send one frame (length prefix + payload).  Blocks while the pipe is
+  /// Send one frame (length prefix + payload).  Blocks while the ring is
   /// full; TransportError on deadline or peer death.
-  virtual void send_frame(const std::uint8_t* data, std::size_t n) = 0;
+  void send_frame(const std::uint8_t* data, std::size_t n);
   void send_frame(const std::vector<std::uint8_t>& buf) {
     send_frame(buf.data(), buf.size());
   }
 
   /// Non-blocking poll: complete frame available -> fill `out`, true.
   /// Partial bytes are buffered internally across calls.
-  virtual bool try_recv_frame(std::vector<std::uint8_t>& out) = 0;
+  bool try_recv_frame(std::vector<std::uint8_t>& out);
 
   /// Blocking receive with the channel deadline; TransportError on
-  /// timeout, EOF or peer death (after one last poll, so a frame the
-  /// peer finished sending before it died is returned, not lost).
+  /// timeout or peer death (after one last poll, so a frame the peer
+  /// finished sending before it died is returned, not lost).
   void recv_frame(std::vector<std::uint8_t>& out);
 
- protected:
-  Channel() = default;
-  /// One bounded wait step while blocked (yield or poll); throws on a
-  /// dead peer.  `elapsed` is seconds since the operation started.
+ private:
+  struct Cursors;  ///< one ring's head/tail, in the shared pages
+  struct Mapping;  ///< the shared mapping; unmapped with its last end
+
+  friend ChannelPair make_shm_pair(std::size_t ring_bytes);
+  Channel(std::shared_ptr<Mapping> map, Cursors* tx, std::uint8_t* tx_buf,
+          Cursors* rx, std::uint8_t* rx_buf, std::size_t ring_bytes);
+
+  /// One bounded wait step while blocked (yield); throws on a dead peer
+  /// or the deadline.  `elapsed` is seconds since the wait started.
   void check_blocked(double elapsed, const char* op) const;
+  /// Streams `n` bytes into the tx ring, waiting while it is full.
+  void write_bytes(const std::uint8_t* p, std::size_t n);
+  /// Moves every byte the peer has published into the assembler.
+  void read_available();
 
   std::function<std::string()> probe_;
   double timeout_seconds_ = 30.0;
+  std::shared_ptr<Mapping> map_;
+  Cursors* tx_;
+  std::uint8_t* tx_buf_;
+  Cursors* rx_;
+  std::uint8_t* rx_buf_;
+  std::size_t cap_;
+  FrameAssembler assembler_;
 };
 
 /// Monotonic seconds (CLOCK_MONOTONIC) — deadline bookkeeping.
@@ -116,12 +134,9 @@ struct ChannelPair {
   std::unique_ptr<Channel> worker_end;
 };
 
-/// Shared-memory pair: MUST be created before fork() (the mapping is
-/// inherited; a pair created after fork would not be shared).
-/// `ring_bytes` is the per-direction ring capacity.
+/// MUST be created before fork() (the mapping is inherited; a pair
+/// created after fork would not be shared).  `ring_bytes` is the
+/// per-direction ring capacity.
 ChannelPair make_shm_pair(std::size_t ring_bytes = 1u << 18);
-
-/// AF_UNIX socketpair: like the shm pair, create it before fork().
-ChannelPair make_socket_pair();
 
 }  // namespace emcast::sim

@@ -17,10 +17,11 @@
 // rejects trailing garbage (the frame must consume exactly its bytes):
 // a frame that parses but leaves residue is as corrupt as a short one.
 //
-// Versioning: kWireVersion stamps every frame.  A peer built from a
-// different commit with a different layout fails the version check on the
-// FIRST frame (the hello handshake), with a diagnostic naming both sides'
-// versions — the mixed-build failure mode this codec exists to catch.
+// Versioning: kWireVersion stamps every frame.  Every peer is a fork of
+// the same binary, so live peers always agree on the layout; the magic
+// and version check guards the byte stream instead — a frame boundary
+// lost in the ring, or bytes that were never a frame, fail the header
+// check with a diagnostic rather than decoding as garbage.
 //
 // Determinism: doubles travel as IEEE-754 bit patterns (util/bytes.hpp),
 // so a CrossShardMsg decodes to the identical bits that were encoded and

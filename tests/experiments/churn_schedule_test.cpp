@@ -3,8 +3,10 @@
 // deferral) and the lookahead-epoch plan handed to the sharded engine.
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <set>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -257,6 +259,42 @@ TEST(MultiGroupConfigValidation, RejectsBadFailureKnobs) {
     c.shards = c.hosts + 1;
     EXPECT_THROW(run_multigroup(c), std::invalid_argument)
         << sim::to_string(kind);
+  }
+  // The rows below also pin WHICH check fires: each used to fail later
+  // with some other error, or not at all.
+  const auto expect_rejected_for = [&c](const char* knob) {
+    try {
+      run_multigroup(c);
+      ADD_FAILURE() << knob << " must be rejected";
+    } catch (const std::exception& e) {
+      EXPECT_NE(dynamic_cast<const std::invalid_argument*>(&e), nullptr)
+          << e.what();
+      EXPECT_NE(std::string(e.what()).find(knob), std::string::npos)
+          << e.what();
+    }
+  };
+  // 120 shards on 120 hosts passes the rule above, but its 14280 mailbox
+  // rings would take ~4.7 GB: the mailbox budget rejects it before any
+  // ring is allocated (it used to die in bad_alloc).
+  const std::size_t hosts = c.hosts;
+  c.hosts = 120;
+  c.shards = 120;
+  for (const sim::EngineKind kind :
+       {sim::EngineKind::Sharded, sim::EngineKind::Process}) {
+    SCOPED_TRACE(sim::to_string(kind));
+    c.engine = kind;
+    expect_rejected_for("mailbox");
+  }
+  c.hosts = hosts;
+  c.engine = sim::EngineKind::Single;
+  c.shards = 1;
+  // rho-bar outside (0, 1] used to run: 0 divided total rate by zero,
+  // 1.5 overloaded every uplink, NaN failed deep in the kernel.
+  c.regulation = RegulationScheme::Unregulated;
+  for (const double rho : {0.0, 1.5, std::nan("")}) {
+    SCOPED_TRACE(rho);
+    c.utilization = rho;
+    expect_rejected_for("utilization");
   }
 }
 

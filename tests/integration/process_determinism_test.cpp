@@ -1,10 +1,10 @@
 // Cross-engine conformance suite for the process-per-shard backend: the
 // full regulated multigroup model run on EngineKind::Process must produce
 // canonical delivery traces BYTE-identical to Single and Sharded — for
-// every worker-process count, every regulation scheme, churn on and off,
-// and both transports — plus identical merged summaries (quantile sketch,
-// k-min sample, worst case, mode switches, churn counters) carried back
-// through the per-shard result blobs.
+// every worker-process count, every regulation scheme, churn on and off
+// — plus identical merged summaries (quantile sketch, k-min sample, worst
+// case, mode switches, churn counters) carried back through the
+// per-shard result blobs.
 //
 // The one documented relaxation: the aggregate MEAN is Welford-merged on
 // the rounds backends, so Single vs Process can differ by float rounding;
@@ -54,13 +54,11 @@ MultiGroupSimResult run_sharded(MultiGroupSimConfig c, std::size_t shards) {
   return run_multigroup(c);
 }
 
-MultiGroupSimResult run_process(
-    MultiGroupSimConfig c, std::size_t shards, std::size_t processes,
-    sim::TransportKind transport = sim::TransportKind::Shm) {
+MultiGroupSimResult run_process(MultiGroupSimConfig c, std::size_t shards,
+                                std::size_t processes) {
   c.engine = sim::EngineKind::Process;
   c.shards = shards;
   c.processes = processes;
-  c.transport = transport;
   c.process_timeout_seconds = 60.0;
   return run_multigroup(c);
 }
@@ -154,18 +152,6 @@ TEST(ProcessSimConformance, AllRegulationSchemesMatch) {
   }
 }
 
-TEST(ProcessSimConformance, SocketTransportMatchesShm) {
-  const auto cfg = base_config(TrafficKind::Audio, RegulationScheme::SigmaRho);
-  const auto ref = run_reference(cfg);
-  const auto shm = run_process(cfg, 4, 2, sim::TransportKind::Shm);
-  const auto sock = run_process(cfg, 4, 2, sim::TransportKind::Socket);
-  expect_conformant(shm, ref, "shm transport");
-  expect_conformant(sock, ref, "socket transport");
-  EXPECT_EQ(sock.mean_delay, shm.mean_delay)
-      << "transport choice leaked into the results";
-  EXPECT_EQ(sock.rounds, shm.rounds);
-}
-
 TEST(ProcessSimConformance, ChurnDifferentialMatches) {
   // Churn: fault replay, in-simulation repair, the lookahead-epoch plan
   // and the violation/reconvergence counters — all carried through the
@@ -253,13 +239,9 @@ TEST(ProcessSimConformance, WarmSlotRebuildsOnProcessKnobChanges) {
   sim::Engine* const first = warm.get();
   run_multigroup(cfg, warm);
   EXPECT_EQ(warm.get(), first) << "same config must reuse";
-  cfg.transport = sim::TransportKind::Socket;
-  run_multigroup(cfg, warm);
-  EXPECT_NE(warm.get(), first) << "transport change must rebuild";
-  sim::Engine* const second = warm.get();
   cfg.processes = 1;
   run_multigroup(cfg, warm);
-  EXPECT_NE(warm.get(), second) << "process-count change must rebuild";
+  EXPECT_NE(warm.get(), first) << "process-count change must rebuild";
 }
 
 TEST(ProcessSimConformance, RecordIsRejectedReplayIsNot) {

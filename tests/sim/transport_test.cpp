@@ -2,14 +2,15 @@
 // distributed backend must turn into clean diagnostics instead of hangs
 // or leaks.
 //
-//   - framing over both transports, including frames larger than the shm
-//     ring (streamed through in chunks and reassembled);
+//   - framing over the shm rings, including frames larger than a ring
+//     (streamed through in chunks and reassembled);
 //   - blocked operations observe the deadline and the peer probe, and a
 //     frame the peer completed before dying is still delivered;
 //   - a worker process killed mid-window surfaces as a thrown
 //     runtime_error naming the signal — never a hang;
 //   - 100 warm reset+run cycles on the process engine leave the fd table
-//     exactly as they found it (channels and children are run()-scoped).
+//     and the mapped rings exactly as they found them (channels and
+//     children are run()-scoped).
 //
 // Suite names stay outside the ShardedSim*/SpscRing* concurrency filter:
 // these tests fork, and fork+TSan is not a supported combination.
@@ -21,6 +22,7 @@
 #include <unistd.h>
 
 #include <cstring>
+#include <fstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -68,8 +70,6 @@ TEST(TransportShm, FramesSurviveIncludingLargerThanRing) {
   exercise_pair(make_shm_pair(/*ring_bytes=*/4096));
 }
 
-TEST(TransportSocket, FramesSurvive) { exercise_pair(make_socket_pair()); }
-
 TEST(TransportShm, BlockedRecvObservesDeadline) {
   ChannelPair pair = make_shm_pair(4096);
   pair.hub_end->set_timeout(0.2);
@@ -98,18 +98,6 @@ TEST(TransportShm, BlockedRecvObservesPeerProbe) {
   }
 }
 
-TEST(TransportSocket, PeerCloseSurfacesAsError) {
-  ChannelPair pair = make_socket_pair();
-  pair.worker_end->send_frame(pattern_frame(10, 1));
-  pair.worker_end.reset();  // close the peer end
-  std::vector<std::uint8_t> buf;
-  // The frame written before the close is still readable...
-  pair.hub_end->recv_frame(buf);
-  EXPECT_EQ(buf, pattern_frame(10, 1));
-  // ...the next read hits EOF and must throw, not hang or return junk.
-  EXPECT_THROW(pair.hub_end->recv_frame(buf), TransportError);
-}
-
 TEST(Transport, FrameSentJustBeforePeerExitIsDelivered) {
   // Regression: a worker writes its last frame (Bye) and exits at once.
   // If the hub's poll comes up empty just before the frame lands and the
@@ -117,18 +105,16 @@ TEST(Transport, FrameSentJustBeforePeerExitIsDelivered) {
   // with the frame sitting unread in the ring.  The probe here plays
   // that interleaving deterministically: it completes the peer's frame,
   // then reports the peer dead.
-  for (const bool shm : {true, false}) {
-    ChannelPair pair = shm ? make_shm_pair(4096) : make_socket_pair();
-    Channel* worker = pair.worker_end.get();
-    pair.hub_end->set_timeout(30.0);
-    pair.hub_end->set_peer_probe([worker] {
-      worker->send_frame(pattern_frame(48, 11));
-      return std::string("worker 0 exited with status 0 mid-protocol");
-    });
-    std::vector<std::uint8_t> buf;
-    ASSERT_NO_THROW(pair.hub_end->recv_frame(buf)) << (shm ? "shm" : "socket");
-    EXPECT_EQ(buf, pattern_frame(48, 11)) << (shm ? "shm" : "socket");
-  }
+  ChannelPair pair = make_shm_pair(4096);
+  Channel* worker = pair.worker_end.get();
+  pair.hub_end->set_timeout(30.0);
+  pair.hub_end->set_peer_probe([worker] {
+    worker->send_frame(pattern_frame(48, 11));
+    return std::string("worker 0 exited with status 0 mid-protocol");
+  });
+  std::vector<std::uint8_t> buf;
+  ASSERT_NO_THROW(pair.hub_end->recv_frame(buf));
+  EXPECT_EQ(buf, pattern_frame(48, 11));
 }
 
 // ------------------------------------------------------- process backend
@@ -227,35 +213,51 @@ std::size_t open_fd_count() {
   return n;
 }
 
-TEST(ProcessSimRobust, HundredWarmResetsLeakNothing) {
-  for (const TransportKind tk : {TransportKind::Shm, TransportKind::Socket}) {
-    EngineConfig c = tiny_process_config(2);
-    c.transport = tk;
-    Engine e(c);
-    std::uint64_t total = 0;
-    const auto run_once = [&] {
-      e.set_deliver([](SimContext ctx, HostId h, const Packet& p) {
-        if (p.hops < 3) {
-          Packet q = p;
-          q.hops++;
-          ctx.deliver(h == 0 ? 1 : 0, q, ctx.now() + 1.5);
-        }
-      });
-      SimContext ctx0 = e.context(0);
-      Packet p{};
-      ctx0.schedule_at(0.0, [ctx0, p] { ctx0.deliver(1, p, 2.0); });
-      total += e.run(20.0);
-      e.reset();
-      e.set_deliver({});
-    };
-    run_once();  // warm-up: lazy allocations (stdio, gtest) settle
-    const std::size_t fds_before = open_fd_count();
-    ASSERT_GT(fds_before, 0u);
-    for (int i = 0; i < 100; ++i) run_once();
-    EXPECT_EQ(open_fd_count(), fds_before)
-        << to_string(tk) << ": fds leaked across 100 warm reset+run cycles";
-    EXPECT_EQ(total, 101u * 5u);  // 1 seed + 4 hops per run, every run equal
+/// Shared anonymous mappings (the channel rings) own no fd; this kernel
+/// lists each one in /proc/self/maps as a "/dev/zero (deleted)" line.
+std::size_t shared_anon_mapping_count() {
+  std::ifstream maps("/proc/self/maps");
+  std::size_t n = 0;
+  for (std::string line; std::getline(maps, line);) {
+    if (line.find("/dev/zero (deleted)") != std::string::npos) ++n;
   }
+  return n;
+}
+
+TEST(ProcessSimRobust, HundredWarmResetsLeakNothing) {
+  Engine e(tiny_process_config(2));
+  std::uint64_t total = 0;
+  const auto run_once = [&] {
+    e.set_deliver([](SimContext ctx, HostId h, const Packet& p) {
+      if (p.hops < 3) {
+        Packet q = p;
+        q.hops++;
+        ctx.deliver(h == 0 ? 1 : 0, q, ctx.now() + 1.5);
+      }
+    });
+    SimContext ctx0 = e.context(0);
+    Packet p{};
+    ctx0.schedule_at(0.0, [ctx0, p] { ctx0.deliver(1, p, 2.0); });
+    total += e.run(20.0);
+    e.reset();
+    e.set_deliver({});
+  };
+  run_once();  // warm-up: lazy allocations (stdio, gtest) settle
+  const std::size_t fds_before = open_fd_count();
+  ASSERT_GT(fds_before, 0u);
+  const std::size_t maps_before = shared_anon_mapping_count();
+  {
+    // The count must see a live ring, or the check below proves nothing.
+    const ChannelPair pair = make_shm_pair(4096);
+    ASSERT_EQ(shared_anon_mapping_count(), maps_before + 1);
+  }
+  ASSERT_EQ(shared_anon_mapping_count(), maps_before);
+  for (int i = 0; i < 100; ++i) run_once();
+  EXPECT_EQ(open_fd_count(), fds_before)
+      << "fds leaked across 100 warm reset+run cycles";
+  EXPECT_EQ(shared_anon_mapping_count(), maps_before)
+      << "shm rings left mapped across 100 warm reset+run cycles";
+  EXPECT_EQ(total, 101u * 5u);  // 1 seed + 4 hops per run, every run equal
 }
 
 TEST(ProcessSimRobust, ResetReleasesEverythingBetweenRuns) {
