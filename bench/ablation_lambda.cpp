@@ -10,6 +10,7 @@
 #include "core/adaptive_host.hpp"
 #include "experiments/scenarios.hpp"
 #include "sim/simulator.hpp"
+#include "sim/tracer.hpp"
 #include "util/table.hpp"
 
 using namespace emcast;
@@ -30,14 +31,16 @@ double run_with_margin(TrafficKind kind, double utilization, double margin) {
   hc.capacity = scenario.capacity_for(utilization);
   hc.mode = core::ControlMode::SigmaRhoLambda;
   hc.lambda_sigma_margin = margin;
-  core::AdaptiveHost host(sim, hc, [](sim::Packet) {});
-  host.set_warmup(10.0);
+  sim::DelayTracer delay(10.0);  // per-hop delay, measured at the sink
+  core::AdaptiveHost host(sim, hc, [&delay, &sim](sim::Packet p) {
+    delay.record_delay(sim.now() - p.hop_arrival, sim.now());
+  });
   for (auto& src : scenario.sources) {
     src->start(sim, [&host](sim::Packet p) { host.offer(std::move(p)); },
                300.0);
   }
   sim.run(305.0);
-  return host.delay().worst_case();
+  return delay.worst_case();
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include "core/adaptive_host.hpp"
 #include "netcalc/threshold.hpp"
 #include "sim/simulator.hpp"
+#include "sim/tracer.hpp"
 #include "traffic/onoff_audio_source.hpp"
 
 using namespace emcast;
@@ -43,7 +44,12 @@ int main() {
   cfg.mode = core::ControlMode::Adaptive;
   cfg.control_interval = 0.5;
 
-  core::AdaptiveHost host(sim, cfg, [](sim::Packet) {});
+  // Per-hop delay (arrival at the host to departure from its MUX),
+  // measured where packets leave: the host's sink.
+  sim::DelayTracer delay;
+  core::AdaptiveHost host(sim, cfg, [&delay, &sim](sim::Packet p) {
+    delay.record_delay(sim.now() - p.hop_arrival, sim.now());
+  });
   std::printf("conference host: %d rooms, threshold rho* = %.3f (K = %d)\n\n",
               kRooms, host.threshold(), kRooms);
 
@@ -59,13 +65,13 @@ int main() {
 
   // Periodic control-state trace.
   for (int t = 10; t <= 200; t += 10) {
-    sim.schedule_at(t, [&host, &sim] {
+    sim.schedule_at(t, [&host, &delay, &sim] {
       std::printf("t=%5.1fs model=%-18s measured rho=%.2f worst=%.3fs\n",
                   sim.now(),
                   host.active_model() == core::ControlMode::SigmaRhoLambda
                       ? "(sigma,rho,lambda)"
                       : "(sigma,rho)",
-                  host.measured_utilization(), host.delay().worst_case());
+                  host.measured_utilization(), delay.worst_case());
     });
   }
 

@@ -78,8 +78,6 @@ std::size_t AdaptiveHost::flow_index(FlowId id) const {
   throw std::invalid_argument("AdaptiveHost: unknown flow id");
 }
 
-void AdaptiveHost::set_warmup(Time t) { tracer_.set_warmup(t); }
-
 std::size_t AdaptiveHost::memory_bytes() const {
   // memory-budget convention (see core::Mux): by-value members are
   // inside sizeof(*this) already, so only their heap is added.
@@ -95,7 +93,6 @@ std::size_t AdaptiveHost::memory_bytes() const {
   for (const auto& e : estimators_) {
     bytes += e.memory_bytes() - sizeof(RateEstimator);
   }
-  bytes += tracer_.memory_bytes() - sizeof(sim::DelayTracer);
   return bytes;
 }
 
@@ -115,7 +112,6 @@ void AdaptiveHost::offer(sim::Packet p) {
 }
 
 void AdaptiveHost::on_mux_output(sim::Packet p) {
-  tracer_.record_delay(p.flow, ctx_.now() - p.hop_arrival, ctx_.now());
   ++p.hops;
   sink_(std::move(p));
 }

@@ -24,7 +24,6 @@
 #include "core/rate_estimator.hpp"
 #include "core/token_bucket_regulator.hpp"
 #include "sim/context.hpp"
-#include "sim/tracer.hpp"
 #include "traffic/flow_spec.hpp"
 #include "util/types.hpp"
 
@@ -78,8 +77,9 @@ class AdaptiveHost {
   /// sharded experiment own each host's pipeline on exactly one shard.
   AdaptiveHost(sim::SimContext ctx, AdaptiveHostConfig config, Sink sink);
 
-  /// Submit a packet of one of the configured flows.  Records the hop
-  /// arrival time for the per-hop delay statistic.
+  /// Submit a packet of one of the configured flows.  Stamps
+  /// `hop_arrival`, so a sink measures the per-hop delay (arrival at host
+  /// → departure from MUX) as `now - p.hop_arrival`.
   void offer(sim::Packet p);
 
   /// Regulation model currently in force (never Adaptive).
@@ -100,15 +100,9 @@ class AdaptiveHost {
   /// the post-repair traffic mix.
   Time last_mode_switch_time() const { return last_mode_switch_; }
 
-  /// Per-hop delay statistics (arrival at host → departure from MUX).
-  const sim::DelayTracer& delay() const { return tracer_; }
-
-  /// Set the warm-up horizon for delay statistics (see DelayTracer).
-  void set_warmup(Time t);
-
-  /// Whole-pipeline footprint: self, regulators, bank, estimators, queue
-  /// contents and tracer heap.  Feeds the per-host memory budget of the
-  /// scale experiments (approximate: allocator overhead is not priced).
+  /// Whole-pipeline footprint: self, regulators, bank, estimators and
+  /// queue contents.  Feeds the per-host memory budget of the scale
+  /// experiments (approximate: allocator overhead is not priced).
   std::size_t memory_bytes() const;
 
   const AdaptiveHostConfig& config() const { return config_; }
@@ -134,7 +128,6 @@ class AdaptiveHost {
   double last_utilization_ = 0.0;
   std::uint64_t mode_switches_ = 0;
   Time last_mode_switch_ = -kTimeInfinity;
-  sim::DelayTracer tracer_;
 };
 
 }  // namespace emcast::core

@@ -364,10 +364,9 @@ MultiGroupSimResult run_multigroup(const MultiGroupSimConfig& config,
   for (auto& s : shard_state) {
     s.tracer.set_warmup(config.warmup);
     // Per-shard streaming summaries (O(shards), never O(hosts)): the
-    // log-binned quantile sketch and the bounded k-min delivery sample.
-    // Both merge order-independently, so the post-run fold is identical
-    // for every shard count.
-    s.tracer.enable_quantiles();
+    // tracer's log-binned quantile sketch and the bounded k-min delivery
+    // sample.  Both merge order-independently, so the post-run fold is
+    // identical for every shard count.
     s.sample = util::KMinSample<DeliveryRecord>(config.sample_deliveries);
   }
 
@@ -447,8 +446,8 @@ MultiGroupSimResult run_multigroup(const MultiGroupSimConfig& config,
   // Failure injection: one bursty loss process per receiving member (the
   // access path is where loss happens), shared across its incoming edges.
   // Host-local state, so it lives on the owning shard's timeline.  Stored
-  // by value (lossless runs hold an empty vector): ~48 bytes per host
-  // when on, zero heap objects either way.
+  // by value (lossless runs hold an empty vector): 72 bytes per host
+  // when on, no vptr and zero heap objects either way.
   std::vector<sim::GilbertElliottLoss> loss;
   if (config.loss_rate > 0.0) {
     loss.reserve(n);
@@ -678,7 +677,6 @@ MultiGroupSimResult run_multigroup(const MultiGroupSimConfig& config,
       hc.lambda_epoch_offset = depth * mean_hop_latency;
       pl.regulated =
           std::make_unique<core::AdaptiveHost>(host_ctx, hc, sink);
-      pl.regulated->set_warmup(config.warmup);
     }
   }
 
@@ -904,7 +902,6 @@ MultiGroupSimResult run_multigroup(const MultiGroupSimConfig& config,
                       .count();
 
   sim::DelayTracer merged(config.warmup);
-  merged.enable_quantiles();
   util::KMinSample<DeliveryRecord> merged_sample(config.sample_deliveries);
   std::uint64_t losses = 0;
   for (auto& s : shard_state) {

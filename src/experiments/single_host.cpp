@@ -1,6 +1,7 @@
 #include "experiments/single_host.hpp"
 
 #include "sim/context.hpp"
+#include "sim/tracer.hpp"
 
 namespace emcast::experiments {
 
@@ -25,9 +26,12 @@ SingleHostResult run_single_host(const SingleHostConfig& config) {
   hc.mux_discipline = config.mux_discipline;
 
   // Packets leaving the MUX reach the sink (the paper's Fig. 3 "sink"
-  // node); the delay of interest is recorded inside the host.
-  core::AdaptiveHost host(ctx, hc, [](sim::Packet) {});
-  host.set_warmup(config.warmup);
+  // node); the delay of interest is recorded there: arrival at the host
+  // to departure from its MUX.
+  sim::DelayTracer delay(config.warmup);
+  core::AdaptiveHost host(ctx, hc, [&delay, &sim](sim::Packet p) {
+    delay.record_delay(sim.now() - p.hop_arrival, sim.now());
+  });
 
   for (auto& src : scenario.sources) {
     src->start(ctx, [&host](sim::Packet p) { host.offer(std::move(p)); },
@@ -50,9 +54,9 @@ SingleHostResult run_single_host(const SingleHostConfig& config) {
 
   SingleHostResult r;
   r.utilization = config.utilization;
-  r.worst_case_delay = host.delay().worst_case();
-  r.mean_delay = host.delay().all().mean();
-  r.packets = host.delay().all().count();
+  r.worst_case_delay = delay.worst_case();
+  r.mean_delay = delay.all().mean();
+  r.packets = delay.all().count();
   r.measured_utilization = measured;
   r.mode_switches = switches;
   r.final_model = final_model;

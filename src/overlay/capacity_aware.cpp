@@ -7,7 +7,7 @@
 namespace emcast::overlay {
 
 std::size_t capacity_fanout(const CapacityAwareConfig& config) {
-  if (config.utilization <= 0.0 || config.utilization > 1.0) {
+  if (!(config.utilization > 0.0 && config.utilization <= 1.0)) {
     throw std::invalid_argument("capacity_fanout: ρ̄ must be in (0,1]");
   }
   const double raw = config.host_capacity_factor / config.utilization;
@@ -18,6 +18,9 @@ std::size_t capacity_fanout(const CapacityAwareConfig& config) {
 std::size_t capacity_child_budget(const CapacityAwareConfig& config,
                                   int groups) {
   if (groups < 1) throw std::invalid_argument("capacity_child_budget: K < 1");
+  if (!(config.utilization > 0.0 && config.utilization <= 1.0)) {
+    throw std::invalid_argument("capacity_child_budget: ρ̄ must be in (0,1]");
+  }
   const double slots = config.budget_safety * config.host_capacity_factor *
                        static_cast<double>(groups) / config.utilization;
   return static_cast<std::size_t>(std::max(1.0, std::floor(slots)));

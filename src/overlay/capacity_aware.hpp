@@ -38,11 +38,13 @@ struct CapacityAwareConfig {
 
 /// Initial per-host child budget: ⌊C_host/ρ_flow⌋ = ⌊factor·K/ρ̄⌋ slots
 /// (ρ_flow approximated by the mean per-flow rate ρ̄·C/K; heterogeneous
-/// mixes use the same average — see DESIGN.md).
+/// mixes use the same average — see DESIGN.md).  Throws
+/// std::invalid_argument for K < 1 or ρ̄ outside (0, 1], NaN included.
 std::size_t capacity_child_budget(const CapacityAwareConfig& config,
                                   int groups);
 
-/// Fan-out bound f(ρ̄) with clamping.
+/// Fan-out bound f(ρ̄) with clamping.  Throws std::invalid_argument for
+/// ρ̄ outside (0, 1], NaN included.
 std::size_t capacity_fanout(const CapacityAwareConfig& config);
 
 /// Capacity-aware DSCT: domain-aware clustering with cluster sizes driven

@@ -17,9 +17,10 @@
 //     majority of engine events capture a `this` pointer plus an index or
 //     two — live in 64-byte slots, one cache line each, in 64-byte-aligned
 //     512-slot blocks that are never relocated;
-//   - fat callback slab: the few big captures (a Packet by value plus a
-//     PacketFn sink plus a timestamp, see sim/link.cpp) get full EventFn
-//     slots in their own 512-slot blocks, allocated only if ever used;
+//   - fat callback slab: the big captures (SimContext::deliver's backend
+//     pointer, host and Packet by value — every local delivery) get full
+//     EventFn slots in their own 512-slot blocks, allocated only if ever
+//     used;
 //   - occupant arrays: one 64-bit word per slot — the sequence number of
 //     the event currently holding the slot, or a vacancy tag carrying the
 //     free-list link.  Liveness checks touch only these dense arrays,
@@ -62,10 +63,12 @@
 
 namespace emcast::sim {
 
-/// Non-allocating event callback.  The capacity accommodates the largest
-/// capture the engine makes on the hot path: a Packet by value plus a
-/// PacketFn sink plus a timestamp (see sim/link.cpp).  Bigger captures are
-/// a compile error — capture a pointer to named state instead.
+/// Non-allocating event callback.  Captures past kCompactFnCapacity land
+/// here: SimContext::deliver's local capture (backend pointer, host and a
+/// 56-byte Packet, 72 bytes in all — every local delivery is a fat event)
+/// and test captures of a CrossShardMsg plus references (up to 104
+/// bytes).  Bigger captures are a compile error — capture a pointer to
+/// named state instead.
 inline constexpr std::size_t kEventFnCapacity = 128;
 using EventFn = util::InlineFn<void(), kEventFnCapacity>;
 

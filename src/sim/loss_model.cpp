@@ -4,15 +4,6 @@
 
 namespace emcast::sim {
 
-BernoulliLoss::BernoulliLoss(double probability, std::uint64_t seed)
-    : probability_(probability), rng_(seed) {
-  if (probability < 0.0 || probability >= 1.0) {
-    throw std::invalid_argument("BernoulliLoss: probability ∉ [0,1)");
-  }
-}
-
-bool BernoulliLoss::drop() { return rng_.uniform() < probability_; }
-
 GilbertElliottLoss::GilbertElliottLoss(double loss_rate, double mean_burst,
                                        std::uint64_t seed)
     : rng_(seed) {

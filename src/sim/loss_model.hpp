@@ -1,14 +1,13 @@
 #pragma once
-// Packet-loss models for failure injection.  The paper's future work
+// Packet-loss model for failure injection.  The paper's future work
 // (Section VII) names error control and packet loss as the next QoS
-// dimensions; these models let the experiments measure how the regulated
+// dimensions; this model lets the experiments measure how the regulated
 // schemes degrade when the underlay drops packets.
 //
-// Two classic models:
-//   BernoulliLoss      — i.i.d. drops with a fixed probability.
-//   GilbertElliottLoss — two-state Markov bursty loss (good/bad channel),
-//                        parameterised by the stationary loss rate and the
-//                        mean burst length.
+// GilbertElliottLoss is the classic two-state Markov bursty loss
+// (good/bad channel), parameterised by the stationary loss rate and the
+// mean burst length.  run_multigroup holds one by value per receiving
+// host.
 
 #include <cstdint>
 
@@ -16,37 +15,16 @@
 
 namespace emcast::sim {
 
-class LossModel {
- public:
-  virtual ~LossModel() = default;
-  /// True if the next packet should be dropped.
-  virtual bool drop() = 0;
-};
-
-class NoLoss final : public LossModel {
- public:
-  bool drop() override { return false; }
-};
-
-class BernoulliLoss final : public LossModel {
- public:
-  BernoulliLoss(double probability, std::uint64_t seed);
-  bool drop() override;
-  double probability() const { return probability_; }
-
- private:
-  double probability_;
-  util::Rng rng_;
-};
-
-class GilbertElliottLoss final : public LossModel {
+class GilbertElliottLoss {
  public:
   /// `loss_rate` is the long-run fraction of packets dropped; `mean_burst`
   /// the expected number of consecutive drops once the channel turns bad.
   /// Good-state transmissions are loss-free; bad-state ones all drop
   /// (the classic simplified Gilbert model).
   GilbertElliottLoss(double loss_rate, double mean_burst, std::uint64_t seed);
-  bool drop() override;
+
+  /// True if the next packet should be dropped.
+  bool drop();
 
   bool in_bad_state() const { return bad_; }
   double p_good_to_bad() const { return p_gb_; }

@@ -4,91 +4,39 @@
 
 namespace emcast::sim {
 
-DelayTracer& DelayTracer::operator=(const DelayTracer& other) {
-  if (this == &other) return *this;
-  warmup_ = other.warmup_;
-  all_ = other.all_;
-  per_flow_ = other.per_flow_;
-  dropped_warmup_ = other.dropped_warmup_;
-  quantiles_ = other.quantiles_
-                   ? std::make_unique<util::LogHistogram>(*other.quantiles_)
-                   : nullptr;
-  return *this;
-}
-
 void DelayTracer::record(const Packet& p, Time now) {
-  record_delay(p.flow, p.age(now), now);
+  record_delay(p.age(now), now);
 }
 
-void DelayTracer::record_delay(FlowId flow, Time delay, Time now) {
+void DelayTracer::record_delay(Time delay, Time now) {
   if (now < warmup_) {
     ++dropped_warmup_;
     return;
   }
   all_.add(delay);
-  per_flow_[flow].add(delay);
-  if (quantiles_) quantiles_->add(delay);
+  quantiles_.add(delay);
 }
 
 void DelayTracer::merge(const DelayTracer& other) {
   all_.merge(other.all_);
-  for (const auto& [flow, stats] : other.per_flow_) {
-    per_flow_[flow].merge(stats);
-  }
   dropped_warmup_ += other.dropped_warmup_;
-  if (quantiles_ && other.quantiles_) quantiles_->merge(*other.quantiles_);
+  quantiles_.merge(other.quantiles_);
 }
 
 void DelayTracer::save(util::ByteWriter& w) const {
   all_.save(w);
   w.u64(dropped_warmup_);
-  w.u32(static_cast<std::uint32_t>(per_flow_.size()));
-  for (const auto& [flow, stats] : per_flow_) {
-    w.i32(flow);
-    stats.save(w);
-  }
-  w.u8(quantiles_ ? 1 : 0);
-  if (quantiles_) quantiles_->save(w);
+  quantiles_.save(w);
 }
 
 void DelayTracer::load(util::ByteReader& r) {
   all_.load(r);
   dropped_warmup_ = r.u64();
-  per_flow_.clear();
-  const std::uint32_t flows = r.u32();
-  for (std::uint32_t i = 0; i < flows; ++i) {
-    const FlowId flow = r.i32();
-    per_flow_[flow].load(r);
-  }
-  if (r.u8() != 0) {
-    if (!quantiles_) quantiles_ = std::make_unique<util::LogHistogram>();
-    quantiles_->load(r);
-  } else {
-    quantiles_.reset();
-  }
-}
-
-void DelayTracer::enable_quantiles(double lo, double hi,
-                                   double relative_error) {
-  quantiles_ = std::make_unique<util::LogHistogram>(lo, hi, relative_error);
-}
-
-double DelayTracer::quantile(double q) const {
-  return quantiles_ ? quantiles_->quantile(q) : 0.0;
+  quantiles_.load(r);
 }
 
 std::size_t DelayTracer::memory_bytes() const {
-  // Rough rb-tree node cost: payload + colour/parent/children pointers.
-  const std::size_t node =
-      sizeof(std::pair<FlowId, util::OnlineStats>) + 4 * sizeof(void*);
-  return sizeof(*this) + per_flow_.size() * node +
-         (quantiles_ ? quantiles_->memory_bytes() : 0);
-}
-
-const util::OnlineStats& DelayTracer::flow(FlowId f) const {
-  static const util::OnlineStats kEmpty;
-  auto it = per_flow_.find(f);
-  return it == per_flow_.end() ? kEmpty : it->second;
+  return sizeof(*this) + quantiles_.memory_bytes() - sizeof(quantiles_);
 }
 
 }  // namespace emcast::sim

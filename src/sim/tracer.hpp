@@ -1,11 +1,9 @@
 #pragma once
-// Delay measurement.  A DelayTracer sits at a measurement point (MUX exit,
-// multicast receiver) and records each packet's age.  Samples inside the
-// warm-up window are discarded so transient start-up behaviour does not
-// pollute the worst-case statistic, mirroring standard ns-2 methodology.
-
-#include <map>
-#include <memory>
+// Delay measurement.  A DelayTracer sits at a measurement point (a
+// multicast receiver, or a single host's output sink) and records each
+// packet's delay.  Samples inside the warm-up window are discarded so
+// transient start-up behaviour does not pollute the worst-case statistic,
+// mirroring standard ns-2 methodology.
 
 #include "sim/packet.hpp"
 #include "util/stats.hpp"
@@ -17,11 +15,6 @@ class DelayTracer {
  public:
   explicit DelayTracer(Time warmup = 0.0) : warmup_(warmup) {}
 
-  DelayTracer(const DelayTracer& other) { *this = other; }
-  DelayTracer& operator=(const DelayTracer& other);
-  DelayTracer(DelayTracer&&) = default;
-  DelayTracer& operator=(DelayTracer&&) = default;
-
   /// Adjust the warm-up horizon (samples before it are discarded).
   void set_warmup(Time t) { warmup_ = t; }
   Time warmup() const { return warmup_; }
@@ -29,60 +22,48 @@ class DelayTracer {
   /// Record the end-to-end delay of `p` observed at time `now`.
   void record(const Packet& p, Time now);
 
-  /// Record an explicit delay value (for per-hop components).
-  void record_delay(FlowId flow, Time delay, Time now);
+  /// Record an explicit delay value observed at time `now` (a host's
+  /// per-hop delay, `now - p.hop_arrival`, taken at its sink).
+  void record_delay(Time delay, Time now);
 
   /// Fold another tracer's samples into this one (shard-aware tracing:
   /// each shard of a sharded simulation records into its own tracer with
   /// no cross-thread traffic, and the harness merges at the end).  Count,
   /// min/max — and therefore worst_case() — are exact; mean/variance are
   /// Welford-merged (Chan), so they can differ from a sequential
-  /// accumulation by float rounding only.
+  /// accumulation by float rounding only.  The quantile sketch merges
+  /// exactly (bin counts add).
   void merge(const DelayTracer& other);
 
-  /// Marshal the measurement state — aggregate stats, per-flow breakdown,
-  /// warm-up drop counter and (when enabled) the quantile sketch — into a
-  /// process-backend result blob.  load() replaces this tracer's samples
-  /// with the saved ones (the warm-up horizon is config, not state, and
-  /// is left untouched); save -> load is bit-exact, so a tracer carried
-  /// across a process boundary merges identically to the original.
+  /// Marshal the measurement state — aggregate stats, warm-up drop
+  /// counter and the quantile sketch — into a process-backend result
+  /// blob.  load() replaces this tracer's samples with the saved ones
+  /// (the warm-up horizon is config, not state, and is left untouched);
+  /// save -> load is bit-exact, so a tracer carried across a process
+  /// boundary merges identically to the original.
   void save(util::ByteWriter& w) const;
   void load(util::ByteReader& r);
 
   Time worst_case() const { return all_.count() ? all_.max() : 0.0; }
   const util::OnlineStats& all() const { return all_; }
 
-  /// Per-flow breakdown (flows never seen return empty stats).
-  const util::OnlineStats& flow(FlowId f) const;
-
   std::uint64_t dropped_warmup() const { return dropped_warmup_; }
 
-  /// Opt-in quantile sketch (off by default: a tracer is embedded per
-  /// regulated host, and those must stay a few dozen bytes).  Enabled on
-  /// the per-shard measurement tracers at scale, where the full delivery
-  /// trace is infeasible: the log-binned sketch merges exactly (bin
-  /// counts add), so quantiles are identical across shard counts and
-  /// merge orders.  merge() folds a quantile-enabled source into a
-  /// quantile-enabled target; sketchless sources contribute nothing to
-  /// the sketch (their samples were never binned).
-  void enable_quantiles(double lo = 1e-6, double hi = 100.0,
-                        double relative_error = 0.02);
-  bool quantiles_enabled() const { return quantiles_ != nullptr; }
-  /// Inverse-CDF estimate from the sketch; 0 when quantiles are off or
-  /// no samples survived warm-up.  q=1 is the exact maximum.
-  double quantile(double q) const;
+  /// Inverse-CDF estimate from the log-binned sketch (default
+  /// LogHistogram geometry); 0 when no samples survived warm-up.  q=1 is
+  /// the exact maximum.  The sketch is what stands in for the full
+  /// delivery trace at scale: it merges exactly, so quantiles are
+  /// identical across shard counts and merge orders.
+  double quantile(double q) const { return quantiles_.quantile(q); }
 
-  /// Bytes held by this tracer (self + per-flow map nodes + sketch).
-  /// Map nodes are priced at sizeof(node payload) + 4 pointers — close
-  /// enough for the budget report, which only needs the right order.
+  /// Bytes held by this tracer (self + sketch bins).
   std::size_t memory_bytes() const;
 
  private:
   Time warmup_;
   util::OnlineStats all_;
-  std::map<FlowId, util::OnlineStats> per_flow_;
   std::uint64_t dropped_warmup_ = 0;
-  std::unique_ptr<util::LogHistogram> quantiles_;
+  util::LogHistogram quantiles_;
 };
 
 }  // namespace emcast::sim

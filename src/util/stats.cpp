@@ -62,44 +62,6 @@ double OnlineStats::variance() const {
 
 double OnlineStats::stddev() const { return std::sqrt(variance()); }
 
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(bins)),
-      counts_(bins, 0) {
-  assert(hi > lo && bins > 0);
-}
-
-void Histogram::add(double x) {
-  stats_.add(x);
-  auto idx = static_cast<long long>((x - lo_) / width_);
-  idx = std::clamp<long long>(idx, 0, static_cast<long long>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(idx)];
-}
-
-double Histogram::quantile(double q) const {
-  if (stats_.count() == 0) return 0.0;
-  q = std::clamp(q, 0.0, 1.0);
-  if (q >= 1.0) return stats_.max();
-  const auto target = static_cast<double>(stats_.count()) * q;
-  double cum = 0.0;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const double next = cum + static_cast<double>(counts_[i]);
-    if (next >= target) {
-      // Interpolate within the bin.
-      const double frac =
-          counts_[i] ? (target - cum) / static_cast<double>(counts_[i]) : 0.0;
-      return bin_lo(i) + frac * width_;
-    }
-    cum = next;
-  }
-  return stats_.max();
-}
-
-double Histogram::bin_lo(std::size_t i) const {
-  return lo_ + static_cast<double>(i) * width_;
-}
-
-double Histogram::bin_hi(std::size_t i) const { return bin_lo(i) + width_; }
-
 LogHistogram::LogHistogram(double lo, double hi, double relative_error) {
   assert(lo > 0 && hi > lo && relative_error > 0);
   lo_ = lo;

@@ -1,14 +1,13 @@
 #pragma once
 // Online statistics used by the tracer and the experiment harness:
-// Welford mean/variance plus min/max in one pass, a fixed-bin histogram
-// with quantile queries for delay distributions, and two streaming
+// Welford mean/variance plus min/max in one pass, and two streaming
 // mergeable summaries for runs too large to trace in full — a
-// log-spaced-bin quantile sketch and a deterministic k-min record sample.
-// Both merge order-independently, so per-shard instances combined in any
-// order give the same result as one global instance: the property that
-// lets 10^6-host runs keep the byte-identical-across-shard-counts
-// contract on their summaries after the full canonical trace has become
-// infeasible.
+// log-spaced-bin histogram (the quantile sketch for delay distributions)
+// and a deterministic k-min record sample.  Both merge
+// order-independently, so per-shard instances combined in any order give
+// the same result as one global instance: the property that lets
+// 10^6-host runs keep the byte-identical-across-shard-counts contract on
+// their summaries after the full canonical trace has become infeasible.
 
 #include <algorithm>
 #include <cstddef>
@@ -46,30 +45,6 @@ class OnlineStats {
   double m2_ = 0.0;
   double min_ = 0.0;
   double max_ = 0.0;
-};
-
-/// Fixed-range linear-bin histogram.  Out-of-range samples clamp into the
-/// first/last bin so mass is never dropped (the max is still exact via the
-/// embedded OnlineStats).
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x);
-  std::size_t total() const { return stats_.count(); }
-  const OnlineStats& stats() const { return stats_; }
-
-  /// Inverse-CDF estimate; q in [0,1].  q=1 returns the exact maximum.
-  double quantile(double q) const;
-
-  const std::vector<std::size_t>& bins() const { return counts_; }
-  double bin_lo(std::size_t i) const;
-  double bin_hi(std::size_t i) const;
-
- private:
-  double lo_, hi_, width_;
-  std::vector<std::size_t> counts_;
-  OnlineStats stats_;
 };
 
 /// Log-spaced-bin histogram over (0, +inf): bin i covers

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "netcalc/threshold.hpp"
+#include "sim/tracer.hpp"
 #include "traffic/cbr_source.hpp"
 
 namespace emcast::core {
@@ -69,12 +70,16 @@ TEST(AdaptiveHost, RecordsPerHopDelay) {
   cfg.flows = three_flows(1000, 200);
   cfg.capacity = 1000;
   cfg.mode = ControlMode::SigmaRho;
-  AdaptiveHost host(sim, cfg, [](sim::Packet) {});
+  // The host stamps hop_arrival; its sink reads the per-hop delay.
+  sim::DelayTracer delay;
+  AdaptiveHost host(sim, cfg, [&delay, &sim](sim::Packet p) {
+    delay.record_delay(sim.now() - p.hop_arrival, sim.now());
+  });
   host.offer(make_packet(0, 500.0));
   sim.run(10.0);
-  EXPECT_EQ(host.delay().all().count(), 1u);
+  EXPECT_EQ(delay.all().count(), 1u);
   // Service time 0.5 s at C=1000.
-  EXPECT_NEAR(host.delay().worst_case(), 0.5, 1e-9);
+  EXPECT_NEAR(delay.worst_case(), 0.5, 1e-9);
 }
 
 TEST(AdaptiveHost, DerivesThresholdFromTheorems) {

@@ -19,8 +19,10 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "experiments/multigroup_sim.hpp"
+#include "experiments/sweep.hpp"
 #include "traffic/trace_recorder.hpp"
 
 namespace emcast::experiments {
@@ -226,6 +228,33 @@ TEST(ProcessSimConformance, WarmEngineReuseMatchesFresh) {
   expect_conformant(warm_a1, fresh_a, "warm run 1");
   expect_conformant(warm_b, fresh_b, "warm run B");
   expect_conformant(warm_a2, fresh_a, "warm replay of A");
+}
+
+TEST(ProcessSimConformance, SweepMatchesSingleSweepPointForPoint) {
+  // A Process sweep runs its points one after another on one warm engine
+  // (the worker processes are the parallel axis); every point must equal
+  // the Single sweep's.
+  auto cfg = base_config(TrafficKind::Audio, RegulationScheme::SigmaRho);
+  cfg.duration = 1.0;
+  cfg.collect_trace = false;
+  const std::vector<double> grid{0.5, 0.85};
+  const auto single = sweep_multigroup(cfg, grid);
+  auto proc_cfg = cfg;
+  proc_cfg.engine = sim::EngineKind::Process;
+  proc_cfg.shards = 2;
+  proc_cfg.processes = 2;
+  proc_cfg.process_timeout_seconds = 60.0;
+  const auto proc = sweep_multigroup(proc_cfg, grid);
+  ASSERT_EQ(single.size(), grid.size());
+  ASSERT_EQ(proc.size(), grid.size());
+  for (std::size_t i = 0; i < grid.size(); ++i) {
+    const std::string label = "point " + std::to_string(i);
+    ASSERT_GT(single[i].deliveries, 0u) << label;
+    EXPECT_EQ(proc[i].deliveries, single[i].deliveries) << label;
+    EXPECT_EQ(proc[i].worst_case_delay, single[i].worst_case_delay) << label;
+    EXPECT_TRUE(proc[i].sample == single[i].sample) << label;
+    EXPECT_EQ(proc[i].processes, 2u) << label;
+  }
 }
 
 TEST(ProcessSimConformance, WarmSlotRebuildsOnProcessKnobChanges) {

@@ -1,4 +1,5 @@
 #include <cmath>
+#include <limits>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -165,10 +166,12 @@ TEST(CapacityAware, NiceVariantAlsoSpans) {
 
 TEST(CapacityAware, RejectsBadUtilization) {
   CapacityAwareConfig c;
-  c.utilization = 0.0;
-  EXPECT_THROW(capacity_fanout(c), std::invalid_argument);
-  c.utilization = 1.5;
-  EXPECT_THROW(capacity_fanout(c), std::invalid_argument);
+  for (const double u :
+       {0.0, 1.5, std::numeric_limits<double>::quiet_NaN()}) {
+    c.utilization = u;
+    EXPECT_THROW(capacity_fanout(c), std::invalid_argument) << u;
+    EXPECT_THROW(capacity_child_budget(c, 3), std::invalid_argument) << u;
+  }
 }
 
 TEST(Reroot, PreservesTreeAndMovesRoot) {

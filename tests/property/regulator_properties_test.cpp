@@ -98,7 +98,7 @@ INSTANTIATE_TEST_SUITE_P(
 struct BankCase {
   int flows;
   Bits sigma;
-  double per_flow_util;  ///< rho-hat per flow
+  double flow_util;  ///< rho-hat per flow
   Bits packet;
 };
 
@@ -106,7 +106,7 @@ std::string bank_name(const testing::TestParamInfo<BankCase>& info) {
   const auto& c = info.param;
   return "K" + std::to_string(c.flows) + "_s" +
          std::to_string(static_cast<int>(c.sigma)) + "_u" +
-         std::to_string(static_cast<int>(c.per_flow_util * 1000)) + "_p" +
+         std::to_string(static_cast<int>(c.flow_util * 1000)) + "_p" +
          std::to_string(static_cast<int>(c.packet));
 }
 
@@ -115,7 +115,7 @@ class LambdaBankProperty : public testing::TestWithParam<BankCase> {};
 TEST_P(LambdaBankProperty, TurnTakingAndThroughputInvariants) {
   const auto c = GetParam();
   const Rate capacity = 1e5;
-  const Rate rho = c.per_flow_util * capacity;
+  const Rate rho = c.flow_util * capacity;
   std::vector<traffic::FlowSpec> flows;
   for (int i = 0; i < c.flows; ++i) {
     flows.push_back({static_cast<FlowId>(i), c.sigma, rho});

@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include "core/mux.hpp"
-#include "sim/link.hpp"
 #include "sim/simulator.hpp"
 #include "util/rng.hpp"
 
@@ -61,49 +60,6 @@ INSTANTIATE_TEST_SUITE_P(Seeds, EventStorm,
                          [](const testing::TestParamInfo<std::uint64_t>& i) {
                            return "seed" + std::to_string(i.param);
                          });
-
-struct LinkCase {
-  Rate capacity;
-  Time propagation;
-  int packets;
-  std::uint64_t seed;
-};
-
-class LinkConservation : public testing::TestWithParam<LinkCase> {};
-
-TEST_P(LinkConservation, EveryPacketArrivesExactlyOnceInOrder) {
-  const auto c = GetParam();
-  Simulator sim;
-  Link link(sim, c.capacity, c.propagation);
-  util::Rng rng(c.seed);
-  std::vector<std::uint64_t> received;
-  std::uint64_t next_id = 0;
-  Time t = 0;
-  for (int i = 0; i < c.packets; ++i) {
-    t += rng.exponential(0.01);
-    sim.schedule_at(t, [&link, &received, &next_id, &rng] {
-      Packet p;
-      p.id = next_id++;
-      p.size = rng.uniform(100.0, 1500.0);
-      link.send(std::move(p),
-                [&received](Packet q) { received.push_back(q.id); });
-    });
-  }
-  sim.run();
-  ASSERT_EQ(received.size(), static_cast<std::size_t>(c.packets));
-  for (std::size_t i = 0; i < received.size(); ++i) {
-    EXPECT_EQ(received[i], i);  // FIFO link: in-order delivery
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Sweep, LinkConservation,
-    testing::Values(LinkCase{1e6, 0.0, 200, 1}, LinkCase{1e6, 0.05, 200, 2},
-                    LinkCase{64e3, 0.01, 100, 3},
-                    LinkCase{100e6, 0.001, 500, 4}),
-    [](const testing::TestParamInfo<LinkCase>& i) {
-      return "case" + std::to_string(i.param.seed);
-    });
 
 struct MuxStormCase {
   core::MuxDiscipline discipline;

@@ -5,36 +5,6 @@
 namespace emcast::sim {
 namespace {
 
-TEST(NoLoss, NeverDrops) {
-  NoLoss m;
-  for (int i = 0; i < 1000; ++i) EXPECT_FALSE(m.drop());
-}
-
-TEST(BernoulliLoss, RateConverges) {
-  BernoulliLoss m(0.1, 42);
-  int drops = 0;
-  const int n = 100000;
-  for (int i = 0; i < n; ++i) {
-    if (m.drop()) ++drops;
-  }
-  EXPECT_NEAR(static_cast<double>(drops) / n, 0.1, 0.01);
-}
-
-TEST(BernoulliLoss, ZeroProbabilityNeverDrops) {
-  BernoulliLoss m(0.0, 1);
-  for (int i = 0; i < 1000; ++i) EXPECT_FALSE(m.drop());
-}
-
-TEST(BernoulliLoss, RejectsBadProbability) {
-  EXPECT_THROW(BernoulliLoss(-0.1, 1), std::invalid_argument);
-  EXPECT_THROW(BernoulliLoss(1.0, 1), std::invalid_argument);
-}
-
-TEST(BernoulliLoss, DeterministicForSeed) {
-  BernoulliLoss a(0.3, 7), b(0.3, 7);
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(a.drop(), b.drop());
-}
-
 TEST(GilbertElliott, StationaryLossRateConverges) {
   GilbertElliottLoss m(0.05, 4.0, 13);
   int drops = 0;

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "util/bytes.hpp"
+
 namespace emcast::sim {
 namespace {
 
@@ -36,22 +40,6 @@ TEST(DelayTracer, WarmupSamplesDropped) {
   EXPECT_DOUBLE_EQ(t.worst_case(), 0.5);
 }
 
-TEST(DelayTracer, PerFlowBreakdown) {
-  DelayTracer t;
-  t.record(make_packet(1, 0.0), 0.2);
-  t.record(make_packet(2, 0.0), 0.4);
-  t.record(make_packet(1, 0.0), 0.6);
-  EXPECT_EQ(t.flow(1).count(), 2u);
-  EXPECT_EQ(t.flow(2).count(), 1u);
-  EXPECT_DOUBLE_EQ(t.flow(1).max(), 0.6);
-  EXPECT_DOUBLE_EQ(t.flow(2).max(), 0.4);
-}
-
-TEST(DelayTracer, UnknownFlowIsEmpty) {
-  DelayTracer t;
-  EXPECT_EQ(t.flow(42).count(), 0u);
-}
-
 TEST(DelayTracer, EmptyWorstCaseIsZero) {
   DelayTracer t;
   EXPECT_DOUBLE_EQ(t.worst_case(), 0.0);
@@ -67,33 +55,24 @@ TEST(DelayTracer, SetWarmupTakesEffect) {
 
 TEST(DelayTracer, RecordDelayExplicitValue) {
   DelayTracer t;
-  t.record_delay(3, 0.125, 1.0);
-  EXPECT_DOUBLE_EQ(t.flow(3).max(), 0.125);
-}
-
-TEST(DelayTracer, QuantilesOffByDefault) {
-  DelayTracer t;
-  t.record_delay(0, 0.5, 1.0);
-  EXPECT_FALSE(t.quantiles_enabled());
-  EXPECT_DOUBLE_EQ(t.quantile(0.5), 0.0);
+  t.record_delay(0.125, 1.0);
+  EXPECT_DOUBLE_EQ(t.worst_case(), 0.125);
 }
 
 TEST(DelayTracer, QuantileSketchTracksDelays) {
   DelayTracer t;
-  t.enable_quantiles();
   for (int i = 1; i <= 100; ++i) {
-    t.record_delay(0, 1e-3 * static_cast<double>(i), 1.0);
+    t.record_delay(1e-3 * static_cast<double>(i), 1.0);
   }
-  EXPECT_TRUE(t.quantiles_enabled());
   EXPECT_NEAR(t.quantile(0.5), 0.050, 0.050 * 0.05);
   EXPECT_DOUBLE_EQ(t.quantile(1.0), 0.100);  // exact max from the stats
 }
 
 TEST(DelayTracer, QuantileSketchRespectsWarmup) {
   DelayTracer t(2.0);
-  t.enable_quantiles();
-  t.record_delay(0, 9.0, 1.0);   // inside warm-up: sketch must skip it
-  t.record_delay(0, 0.5, 3.0);
+  t.record_delay(9.0, 1.0);   // inside warm-up: sketch must skip it
+  EXPECT_DOUBLE_EQ(t.quantile(0.5), 0.0);  // nothing survived warm-up yet
+  t.record_delay(0.5, 3.0);
   EXPECT_DOUBLE_EQ(t.quantile(1.0), 0.5);
 }
 
@@ -101,21 +80,16 @@ TEST(DelayTracer, QuantileSketchMergesExactly) {
   // Per-shard tracers merged in any order equal the single tracer: the
   // determinism contract for scale-run summaries.
   DelayTracer whole;
-  whole.enable_quantiles();
   DelayTracer a, b;
-  a.enable_quantiles();
-  b.enable_quantiles();
   for (int i = 1; i <= 200; ++i) {
     const double d = 1e-3 * static_cast<double>(1 + (i * 61) % 199);
-    whole.record_delay(0, d, 1.0);
-    (i % 2 ? a : b).record_delay(0, d, 1.0);
+    whole.record_delay(d, 1.0);
+    (i % 2 ? a : b).record_delay(d, 1.0);
   }
   DelayTracer merged_ab;
-  merged_ab.enable_quantiles();
   merged_ab.merge(a);
   merged_ab.merge(b);
   DelayTracer merged_ba;
-  merged_ba.enable_quantiles();
   merged_ba.merge(b);
   merged_ba.merge(a);
   EXPECT_EQ(merged_ab.quantile(0.5), whole.quantile(0.5));
@@ -126,19 +100,40 @@ TEST(DelayTracer, QuantileSketchMergesExactly) {
 
 TEST(DelayTracer, CopyPreservesSketch) {
   DelayTracer t;
-  t.enable_quantiles();
-  t.record_delay(0, 0.25, 1.0);
+  t.record_delay(0.25, 1.0);
   DelayTracer copy = t;            // deep copy of the sketch
-  copy.record_delay(0, 0.75, 1.0);
+  copy.record_delay(0.75, 1.0);
   EXPECT_DOUBLE_EQ(t.quantile(1.0), 0.25);
   EXPECT_DOUBLE_EQ(copy.quantile(1.0), 0.75);
 }
 
-TEST(DelayTracer, MemoryBytesGrowsWithSketch) {
-  DelayTracer plain;
-  DelayTracer sketched;
-  sketched.enable_quantiles();
-  EXPECT_GT(sketched.memory_bytes(), plain.memory_bytes());
+TEST(DelayTracer, SaveLoadIsExactAndTruncatedBlobThrows) {
+  DelayTracer t(1.0);
+  t.record_delay(0.5, 0.5);  // warm-up drop travels too
+  for (int i = 1; i <= 50; ++i) {
+    t.record_delay(1e-3 * static_cast<double>(i), 2.0);
+  }
+  std::vector<std::uint8_t> blob;
+  util::ByteWriter w(blob);
+  t.save(w);
+
+  DelayTracer loaded(1.0);
+  util::ByteReader r(blob);
+  loaded.load(r);
+  EXPECT_TRUE(r.done());
+  EXPECT_EQ(loaded.all().count(), t.all().count());
+  EXPECT_EQ(loaded.all().mean(), t.all().mean());
+  EXPECT_EQ(loaded.worst_case(), t.worst_case());
+  EXPECT_EQ(loaded.dropped_warmup(), 1u);
+  EXPECT_EQ(loaded.quantile(0.5), t.quantile(0.5));
+  EXPECT_EQ(loaded.quantile(0.99), t.quantile(0.99));
+
+  for (const std::size_t keep : {std::size_t{0}, std::size_t{30},
+                                 blob.size() / 2, blob.size() - 1}) {
+    DelayTracer victim;
+    util::ByteReader cut(blob.data(), keep);
+    EXPECT_THROW(victim.load(cut), util::ByteRangeError) << keep;
+  }
 }
 
 }  // namespace

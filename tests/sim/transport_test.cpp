@@ -261,21 +261,27 @@ TEST(ProcessSimRobust, HundredWarmResetsLeakNothing) {
 }
 
 TEST(ProcessSimRobust, ResetReleasesEverythingBetweenRuns) {
-  // Between runs no channels or children may exist: the fd table right
-  // after a run equals the table before the engine ever ran.
+  // Between runs no channels or children may exist: the fd table and the
+  // shared ring mappings right after a run equal those before the engine
+  // ever ran.  Shm rings own no fd, so only the mapping count sees them.
   const std::size_t fds_bare = open_fd_count();
+  const std::size_t maps_bare = shared_anon_mapping_count();
   {
     Engine e(tiny_process_config(2));
     e.set_deliver([](SimContext, HostId, const Packet&) {});
     SimContext ctx0 = e.context(0);
     Packet p{};
     ctx0.schedule_at(0.0, [ctx0, p] { ctx0.deliver(1, p, 2.0); });
+    EXPECT_EQ(shared_anon_mapping_count(), maps_bare) << "before run()";
     e.run(10.0);
     EXPECT_EQ(open_fd_count(), fds_bare);
+    EXPECT_EQ(shared_anon_mapping_count(), maps_bare) << "after run()";
     e.reset();
     EXPECT_EQ(open_fd_count(), fds_bare);
+    EXPECT_EQ(shared_anon_mapping_count(), maps_bare) << "after reset()";
   }
   EXPECT_EQ(open_fd_count(), fds_bare);
+  EXPECT_EQ(shared_anon_mapping_count(), maps_bare) << "after destruction";
 }
 
 }  // namespace

@@ -70,38 +70,6 @@ TEST(OnlineStats, ResetClears) {
   EXPECT_DOUBLE_EQ(s.mean(), 0.0);
 }
 
-TEST(Histogram, CountsAndQuantiles) {
-  Histogram h(0.0, 10.0, 10);
-  for (int i = 0; i < 100; ++i) h.add(static_cast<double>(i) / 10.0);
-  EXPECT_EQ(h.total(), 100u);
-  EXPECT_NEAR(h.quantile(0.5), 5.0, 0.5);
-  EXPECT_DOUBLE_EQ(h.quantile(1.0), h.stats().max());
-}
-
-TEST(Histogram, ClampsOutOfRangeIntoEdgeBins) {
-  Histogram h(0.0, 1.0, 4);
-  h.add(-5.0);
-  h.add(7.0);
-  EXPECT_EQ(h.total(), 2u);
-  EXPECT_EQ(h.bins().front(), 1u);
-  EXPECT_EQ(h.bins().back(), 1u);
-  // Exact max preserved despite clamping.
-  EXPECT_DOUBLE_EQ(h.stats().max(), 7.0);
-}
-
-TEST(Histogram, BinEdges) {
-  Histogram h(2.0, 4.0, 4);
-  EXPECT_DOUBLE_EQ(h.bin_lo(0), 2.0);
-  EXPECT_DOUBLE_EQ(h.bin_hi(0), 2.5);
-  EXPECT_DOUBLE_EQ(h.bin_lo(3), 3.5);
-  EXPECT_DOUBLE_EQ(h.bin_hi(3), 4.0);
-}
-
-TEST(Histogram, QuantileOnEmptyIsZero) {
-  Histogram h(0.0, 1.0, 2);
-  EXPECT_DOUBLE_EQ(h.quantile(0.5), 0.0);
-}
-
 TEST(LogHistogram, QuantileWithinRelativeError) {
   LogHistogram h(1e-6, 100.0, 0.02);
   for (int i = 1; i <= 1000; ++i) h.add(static_cast<double>(i) * 1e-3);

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Documentation consistency gate.
 
-Two checks, both cheap enough for every CI run and for ctest:
+Three checks, all cheap enough for every CI run and for ctest:
 
 1. **Link check** — every relative markdown link in ``README.md`` and
    ``docs/*.md`` must point at a file or directory that exists (external
@@ -15,6 +15,12 @@ Two checks, both cheap enough for every CI run and for ctest:
    map uses for header/impl pairs (``context.{``, covering
    ``context.{hpp,cpp}``).  Adding a new source file without documenting
    it fails CI — the map cannot silently rot.
+
+3. **Reverse drift guard** — every map row under a ``### `src/<sub>/` ``
+   heading whose first cell names a source file (``| `name.hpp` |``) or
+   a header/impl pair (``| `name.{hpp,cpp}` |``) must name files that
+   exist in ``src/<sub>/``.  Deleting a source file without deleting its
+   row fails CI — the map cannot describe code that is gone.
 
 Usage:
     docs_check.py [--repo-root PATH]
@@ -36,6 +42,13 @@ _LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 _EXTERNAL_RE = re.compile(r"^[a-zA-Z][a-zA-Z0-9+.-]*:")  # http:, mailto:, …
 
 _SOURCE_SUFFIXES = {".hpp", ".cpp", ".h", ".cc"}
+
+# ### `src/sim/` — heading of one subsystem's map table.
+_MAP_HEADING_RE = re.compile(r"^###\s+`src/([^`/]+)/`")
+_HEADING_RE = re.compile(r"^#{1,6}\s")
+# | `name.hpp` | or | `name.{hpp,cpp}` | — a map row's first cell.
+_MAP_ROW_RE = re.compile(
+    r"^\|\s*`([\w.-]+)\.(?:(\w+)|\{(\w+(?:,\w+)*)\})`\s*\|")
 
 
 class DocsLayoutError(Exception):
@@ -119,6 +132,46 @@ def check_drift(repo_root):
     return problems
 
 
+def map_rows(text):
+    """(line number, subsystem, file name) for every file a directory-map
+    row names, with brace pairs expanded (``a.{hpp,cpp}`` -> a.hpp,
+    a.cpp).  Only rows under a ``### `src/<sub>/` `` heading count."""
+    rows = []
+    subsystem = None
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        heading = _MAP_HEADING_RE.match(line)
+        if heading:
+            subsystem = heading.group(1)
+            continue
+        if _HEADING_RE.match(line):
+            subsystem = None
+            continue
+        row = _MAP_ROW_RE.match(line) if subsystem else None
+        if not row:
+            continue
+        stem, single, pair = row.groups()
+        for ext in (pair.split(",") if pair else [single]):
+            if "." + ext in _SOURCE_SUFFIXES:
+                rows.append((lineno, subsystem, f"{stem}.{ext}"))
+    return rows
+
+
+def check_stale_rows(repo_root):
+    """Directory-map rows naming a source file that does not exist."""
+    arch = Path(repo_root) / "docs" / "architecture.md"
+    if not arch.is_file():
+        raise DocsLayoutError("docs/architecture.md does not exist")
+    text = arch.read_text(encoding="utf-8")
+    problems = []
+    for lineno, subsystem, name in map_rows(text):
+        rel = f"src/{subsystem}/{name}"
+        if not (Path(repo_root) / rel).is_file():
+            problems.append(
+                f"docs/architecture.md:{lineno}: map row names {rel}, "
+                "which does not exist")
+    return problems
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -128,7 +181,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     try:
-        problems = check_links(args.repo_root) + check_drift(args.repo_root)
+        problems = (check_links(args.repo_root) +
+                    check_drift(args.repo_root) +
+                    check_stale_rows(args.repo_root))
     except (DocsLayoutError, OSError) as err:
         print(f"docs_check: {err}", file=sys.stderr)
         return 2

@@ -4,8 +4,9 @@
 Run directly (``python3 tools/test_docs_check.py``) or through ctest
 (registered as ``docs_check_selftest``).  The critical cases — the gate
 must demonstrably FAIL on a broken link and on an undocumented source
-file — are ``test_fails_on_broken_link`` and
-``test_fails_on_undocumented_source``.
+file, and on a map row naming a deleted one — are
+``test_fails_on_broken_link``, ``test_fails_on_undocumented_source`` and
+``test_fails_on_map_row_naming_a_deleted_file``.
 """
 
 import os
@@ -119,6 +120,55 @@ class DocsCheckTest(unittest.TestCase):
     def test_non_source_files_are_not_required(self):
         self.write("src/sim/README.txt", "")
         self.write("docs/architecture.md", "")
+        self.assertEqual(self.run_main(), 0)
+
+    # -- reverse drift guard -----------------------------------------------
+
+    MAP = ("## Directory map\n\n"
+           "### `src/sim/` — the machine\n\n"
+           "| files | what |\n|---|---|\n"
+           "| `context.hpp` | the API |\n")
+
+    def test_fails_on_map_row_naming_a_deleted_file(self):
+        self.write("src/sim/context.hpp", "")
+        self.write("docs/architecture.md",
+                   self.MAP + "| `link.{hpp,cpp}` | deleted link |\n")
+        self.assertEqual(self.run_main(), 1)
+
+    def test_fails_on_single_file_row_naming_a_deleted_file(self):
+        self.write("src/sim/context.hpp", "")
+        self.write("docs/architecture.md",
+                   self.MAP + "| `gone.hpp` | deleted header |\n")
+        self.assertEqual(self.run_main(), 1)
+
+    def test_pair_row_needs_both_files(self):
+        self.write("src/sim/context.hpp", "")
+        self.write("src/sim/link.hpp", "")
+        self.write("docs/architecture.md",
+                   self.MAP + "| `link.{hpp,cpp}` | half a pair |\n")
+        self.assertEqual(self.run_main(), 1)
+
+    def test_row_is_checked_against_its_own_subsystem(self):
+        # link.hpp exists, but in src/topology/, not under the sim heading.
+        self.write("src/sim/context.hpp", "")
+        self.write("src/topology/link.hpp", "")
+        self.write("docs/architecture.md",
+                   self.MAP + "| `link.hpp` | wrong directory |\n")
+        self.assertEqual(self.run_main(), 1)
+
+    def test_existing_map_rows_pass(self):
+        self.write("src/sim/context.hpp", "")
+        self.write("src/sim/mailbox.hpp", "")
+        self.write("src/sim/mailbox.cpp", "")
+        self.write("docs/architecture.md",
+                   self.MAP + "| `mailbox.{hpp,cpp}` | rings |\n")
+        self.assertEqual(self.run_main(), 0)
+
+    def test_rows_outside_a_src_heading_are_not_checked(self):
+        self.write("src/sim/context.hpp", "")
+        self.write("docs/architecture.md",
+                   self.MAP + "\n## Tests\n\n| `tools/x.hpp` | other |\n"
+                   "| `planned.hpp` | not in the map |\n")
         self.assertEqual(self.run_main(), 0)
 
 
