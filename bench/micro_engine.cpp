@@ -10,6 +10,9 @@
 //     thin tail;
 //   - bursty: tight 1ms clusters spaced 100s apart (heavy near-ties);
 //   - far-horizon: 90% near-term, 10% up to 10^4x further out.
+//
+// BM_SimulatorHold is the steady-state complement: a constant population
+// of pending events, each rescheduling itself as it fires.
 
 #include <benchmark/benchmark.h>
 
@@ -74,7 +77,11 @@ void push_pop_all(benchmark::State& state, const std::vector<double>& times) {
   for (auto _ : state) {
     sim::EventQueue q;
     for (double t : times) q.push(t, [] {});
-    while (!q.empty()) benchmark::DoNotOptimize(q.pop().time);
+    Time now = 0.0;
+    while (!q.empty()) {
+      q.fire_next(now);
+      benchmark::DoNotOptimize(now);
+    }
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(times.size()));
@@ -127,6 +134,55 @@ void BM_SimulatorEventChurn(benchmark::State& state) {
                           10000);
 }
 BENCHMARK(BM_SimulatorEventChurn);
+
+// Hold model: a fixed population of pending events in which every fired
+// event reschedules itself once, so the pending-set size stays constant
+// and each measured event is one deletion, one insertion and one call.
+// The capture is 72 bytes, the size of SimContext::deliver's local
+// delivery capture, so every event lives in the fat slab.  Population
+// sizes: ~2.5K pending (the Fig. 6 point) and ~20K (a 4096-host Single
+// run).
+struct HoldState {
+  sim::Simulator* sim;
+  std::uint64_t fired = 0;
+  std::uint64_t budget = 0;
+};
+
+struct HoldTick {
+  HoldState* state;
+  std::uint64_t rng;  ///< xorshift64 state: this event's delay stream
+  std::uint64_t payload[7];
+  void operator()() {
+    rng ^= rng << 13;
+    rng ^= rng >> 7;
+    rng ^= rng << 17;
+    const double delay = static_cast<double>(rng >> 11) * 0x1.0p-53;
+    state->sim->schedule_in(delay, *this);
+    if (++state->fired == state->budget) state->sim->stop();
+  }
+};
+static_assert(sizeof(HoldTick) == 72);
+
+void BM_SimulatorHold(benchmark::State& state) {
+  constexpr std::uint64_t kEventsPerIteration = 100000;
+  const auto pending = static_cast<std::size_t>(state.range(0));
+  sim::Simulator sim;
+  HoldState hold{&sim, 0, kEventsPerIteration};
+  util::Rng rng(5);
+  for (std::size_t i = 0; i < pending; ++i) {
+    sim.schedule_in(rng.uniform(), HoldTick{&hold, rng.next() | 1, {}});
+  }
+  // One untimed round warms the slabs and the heap buffer.
+  sim.run();
+  for (auto _ : state) {
+    hold.fired = 0;
+    sim.run();
+    benchmark::DoNotOptimize(hold.fired);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kEventsPerIteration));
+}
+BENCHMARK(BM_SimulatorHold)->Arg(2500)->Arg(20000);
 
 void BM_TokenBucketOffer(benchmark::State& state) {
   for (auto _ : state) {

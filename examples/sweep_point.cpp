@@ -123,17 +123,20 @@ int main(int argc, char** argv) {
   // the orchestrator stores this verbatim as the point's checkpoint.
   std::printf(
       "{\"deliveries\": %llu, \"delay_p50\": %.17g, \"delay_p99\": %.17g, "
-      "\"engine\": \"%s\", \"groups\": %d, \"hosts\": %zu, "
-      "\"losses\": %llu, \"mean_delay\": %.17g, \"mode_switches\": %llu, "
-      "\"processes\": %zu, \"rounds\": %llu, \"scheme\": \"%s\", "
+      "\"engine\": \"%s\", \"events_executed\": %llu, \"groups\": %d, "
+      "\"hosts\": %zu, \"losses\": %llu, \"mean_delay\": %.17g, "
+      "\"mode_switches\": %llu, \"processes\": %zu, \"rounds\": %llu, "
+      "\"run_seconds\": %.6f, \"scheme\": \"%s\", "
       "\"seed\": %llu, \"shards\": %zu, \"utilization\": %.17g, "
       "\"wall_seconds\": %.6f, \"worst_case_delay\": %.17g, "
       "\"xshard_messages\": %llu}\n",
       static_cast<unsigned long long>(r.deliveries), r.delay_p50, r.delay_p99,
-      to_string(cfg.engine), cfg.groups, cfg.hosts,
-      static_cast<unsigned long long>(r.losses), r.mean_delay,
+      to_string(cfg.engine),
+      static_cast<unsigned long long>(r.events_executed), cfg.groups,
+      cfg.hosts, static_cast<unsigned long long>(r.losses), r.mean_delay,
       static_cast<unsigned long long>(r.mode_switches), r.processes,
-      static_cast<unsigned long long>(r.rounds), scheme_slug(cfg.regulation),
+      static_cast<unsigned long long>(r.rounds), r.run_seconds,
+      scheme_slug(cfg.regulation),
       static_cast<unsigned long long>(cfg.seed), r.shards, r.utilization, wall,
       r.worst_case_delay, static_cast<unsigned long long>(r.messages));
   return 0;

@@ -30,6 +30,13 @@
 // makes simultaneous events fire in scheduling order, which keeps
 // simulations deterministic.
 //
+// Firing.  fire_next() is the one way an event runs: it pops the pending
+// record, vacates the occupant, sets the clock and invokes the callable
+// where it lies in its slab slot — never relocated — then destroys it and
+// frees the slot (from an RAII guard, so a throwing callback frees it
+// too).  Right after the deletion it prefetches the slot the new heap
+// minimum names, so that fetch overlaps the current callback.
+//
 // Handles.  push() returns an EventHandle addressing {slot index,
 // generation}, where the generation is the event's unique sequence
 // number.  A slot's occupant changes on every fire/cancel, so a stale
@@ -42,10 +49,10 @@
 // Handles must not outlive the EventQueue.
 //
 // Cancellation is lazy: cancel() destroys the callback, frees the slot
-// and leaves the dead pending record to be skipped on pop.  When dead
-// records outnumber live ones (past a fixed floor) the pending set is
-// compacted in place, so mass-cancel workloads cannot strand unbounded
-// dead memory.
+// and leaves the dead pending record to be skipped when it surfaces.
+// When dead records outnumber live ones (past a fixed floor) the pending
+// set is compacted in place, so mass-cancel workloads cannot strand
+// unbounded dead memory.
 
 #include <cassert>
 #include <cmath>
@@ -104,7 +111,7 @@ class EventHandle {
 };
 
 /// The engine's event queue: callback slabs and handles over one
-/// PendingHeap.  The hot push/pop path is inline, with no virtual dispatch.
+/// PendingHeap.  The hot push/fire path is inline, with no virtual dispatch.
 class EventQueue {
  public:
   EventQueue() = default;
@@ -125,12 +132,13 @@ class EventQueue {
   /// Time of the earliest live event; kTimeInfinity when empty.
   Time next_time();
 
-  /// Pop and return the earliest live event.  Caller checks empty() first.
-  struct Fired {
-    Time time;
-    EventFn fn;
-  };
-  Fired pop();
+  /// Fire the earliest live event where it lies: pop its pending record,
+  /// vacate its occupant, set `now` to its time and invoke the callable in
+  /// its slab slot.  The callable is then destroyed and the slot freed,
+  /// also when the call throws.  The callback may push, cancel (its own
+  /// handle included: a no-op) and fire nested events, but must not
+  /// clear() the queue.  Caller checks empty() first.
+  void fire_next(Time& now);
 
   /// Discard every pending event (captures destroyed, slots recycled) and
   /// rewind to the fresh logical state while keeping every arena warm —
@@ -187,6 +195,28 @@ class EventQueue {
   template <bool Fat>
   std::uint32_t acquire_slot();
   void release_slot(std::uint32_t slot);  ///< link a vacated slot
+  /// Destroy a slot's callable in place.  InlineFn's reset detaches the
+  /// vtable before running the destructor, so the capture's teardown code
+  /// sees an empty slot and may reenter cancel()/push() safely.
+  void destroy_fn(std::uint32_t slot) {
+    if (slot & kPoolBit) {
+      fat_fn(slot & kPoolMask) = nullptr;
+    } else {
+      compact_fn(slot & kPoolMask) = nullptr;
+    }
+  }
+  /// Destroys a fired callable and frees its slot when the call returns
+  /// or throws.
+  struct FiredSlot {
+    EventQueue* queue;
+    std::uint32_t slot;
+    ~FiredSlot() {
+      queue->destroy_fn(slot);
+      queue->release_slot(slot);
+    }
+  };
+  /// Start fetching every cache line of a slot's callable.
+  void prefetch_slot(std::uint32_t slot);
   void cancel_handle(const EventHandle& h);
   /// Invalidate every occupant, then destroy all captures — while the
   /// occupant arrays are still alive.  The destructor calls this: a
@@ -287,11 +317,7 @@ inline EventHandle EventQueue::push(Time t, F&& fn) {
     // The slot was never published (occupant still vacant-tagged), so a
     // capture destructor cancelling its own handle no-ops; destroy the
     // capture, then return the slot to the free list.
-    if constexpr (kFat) {
-      fat_fn(index) = nullptr;
-    } else {
-      compact_fn(index) = nullptr;
-    }
+    destroy_fn(slot);
     release_slot(slot);
     throw;
   }
@@ -316,33 +342,46 @@ inline Time EventQueue::next_time() {
                               : key_time(pending_.min().time_key);
 }
 
-inline EventQueue::Fired EventQueue::pop() {
-  skim_dead();
-  assert(pending_.size() != 0 && "pop on empty EventQueue");
-  const PendingEntry& front = pending_.min();
-  const std::uint32_t slot = entry_slot(front);
-  const std::uint32_t index = slot & kPoolMask;
-  const bool fat = (slot & kPoolBit) != 0;
-  void* fn_addr = fat ? static_cast<void*>(&fat_fn(index))
-                      : static_cast<void*>(&compact_fn(index));
+inline void EventQueue::prefetch_slot(std::uint32_t slot) {
 #if defined(__GNUC__) || defined(__clang__)
-  // Start pulling the callback's slab line while the pending-set deletion
-  // below works through its levels; the two memory streams overlap.
-  __builtin_prefetch(fn_addr, /*rw=*/1);
+  const std::uint32_t index = slot & kPoolMask;
+  if (slot & kPoolBit) {
+    // A fat slot spans several lines; stepping 64 bytes from its start
+    // touches each of them for any pointer-aligned start.
+    constexpr std::size_t kLines = (sizeof(EventFn) + 63) / 64;
+    static_assert(64 - alignof(EventFn) + sizeof(EventFn) <= kLines * 64);
+    const auto* p = reinterpret_cast<const char*>(&fat_fn(index));
+    for (std::size_t line = 0; line < kLines; ++line) {
+      __builtin_prefetch(p + 64 * line, /*rw=*/1);
+    }
+  } else {
+    __builtin_prefetch(&compact_fn(index), /*rw=*/1);  // one line
+  }
+#else
+  (void)slot;
 #endif
+}
+
+inline void EventQueue::fire_next(Time& now) {
+  skim_dead();
+  assert(pending_.size() != 0 && "fire_next on empty EventQueue");
   const PendingEntry top = pending_.pop_min();
-  // Invalidate the occupant before relocating the capture: the move of a
-  // non-trivial capture runs user code (move ctor + moved-from dtor) that
-  // may call cancel() on this very event; with the word already
-  // mismatching, that reentrant cancel is a no-op.  Free-list linking
-  // waits until the relocation is complete.
+  if (pending_.size() != 0) prefetch_slot(entry_slot(pending_.min()));
+  const std::uint32_t slot = entry_slot(top);
+  // Vacate the occupant before the call: a callback or capture destructor
+  // that cancels this very event then no-ops.  The slot joins the free
+  // list only in ~FiredSlot, after the capture is destroyed, so nothing
+  // pushed meanwhile can land on it; slab blocks are never relocated, so
+  // pushes that grow the slabs cannot move the running capture.
   occupant(slot) = kVacantTag | kNoSlot;
   --live_count_;
-  Fired fired{key_time(top.time_key),
-              fat ? EventFn(std::move(*static_cast<EventFn*>(fn_addr)))
-                  : EventFn(std::move(*static_cast<CompactFn*>(fn_addr)))};
-  release_slot(slot);
-  return fired;
+  now = key_time(top.time_key);
+  const FiredSlot fired{this, slot};
+  if (slot & kPoolBit) {
+    fat_fn(slot & kPoolMask)();
+  } else {
+    compact_fn(slot & kPoolMask)();
+  }
 }
 
 }  // namespace emcast::sim

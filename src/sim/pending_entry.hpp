@@ -1,7 +1,9 @@
 #pragma once
 // The 16-byte POD record of the event engine's pending set (the 4-ary
 // heap, sim/pending_heap.hpp): an order-preserving integer image of the
-// event time plus the packed (sequence, slot) word.
+// event time plus the packed (sequence, slot) word.  Read as one 128-bit
+// unsigned key with the time image on top, a single compare orders two
+// records by (time, sequence).
 // The slot addresses the callback slab owned by the EventQueue; the
 // sequence number doubles as the handle generation and as the
 // deterministic tie-break for simultaneous events.
@@ -20,7 +22,7 @@ inline constexpr std::uint32_t kPoolBit = 1u << 23;
 inline constexpr std::uint32_t kPoolMask = kPoolBit - 1;
 
 /// One pending event as the pending set sees it.  `seq_slot` is
-/// (seq << 24) | slot, so a single 64-bit compare resolves time ties by
+/// (seq << 24) | slot, so as the key's low half it resolves time ties by
 /// sequence number (seq dominates; seq_slot ties are impossible because
 /// sequence numbers are unique).
 struct PendingEntry {
@@ -51,12 +53,19 @@ inline Time key_time(std::uint64_t k) {
   return std::bit_cast<Time>((k & kSign) ? (k & ~kSign) : ~k);
 }
 
-/// Strict (time, seq) ordering — `a` fires before `b`.  Bitwise | and &
-/// keep it branch-free; floating compares on random keys mispredict every
-/// other sift step, two integer compares lower to cmovs.
+/// The record as one 128-bit key, time_key in the high half: unsigned
+/// order on it is exactly the lexicographic (time_key, seq_slot) order.
+__extension__ using EntryKey = unsigned __int128;
+inline EntryKey entry_key(const PendingEntry& e) {
+  return (EntryKey{e.time_key} << 64) | e.seq_slot;
+}
+
+/// Strict (time, seq) ordering — `a` fires before `b`.  One 128-bit
+/// compare (a subtract-with-borrow pair) yields the flag with no branch;
+/// floating compares on random keys would mispredict every other sift
+/// step.
 inline bool entry_before(const PendingEntry& a, const PendingEntry& b) {
-  return (a.time_key < b.time_key) |
-         ((a.time_key == b.time_key) & (a.seq_slot < b.seq_slot));
+  return entry_key(a) < entry_key(b);
 }
 
 }  // namespace emcast::sim

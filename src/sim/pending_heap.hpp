@@ -8,6 +8,10 @@
 // compare against the displaced element (whose data-dependent exit branch
 // mispredicts on random keys), then the tail drops into the hole and sifts
 // up — it came from the bottom, so it rarely climbs more than a step.
+// Each full child group is resolved by a three-compare tournament whose
+// winner index is computed from the compare flags, and each compare is
+// one 128-bit key compare (sim/pending_entry.hpp), so the walk's only
+// branches are its predictable loop exits.
 
 #include <cassert>
 #include <cstddef>
@@ -118,12 +122,13 @@ inline void PendingHeap::sift_up(std::size_t p) {
 inline std::size_t PendingHeap::min_child(std::size_t c0,
                                           std::size_t end) const {
   if (c0 + 4 <= end) {
-    // Full fanout: branchless tournament (cmov-selected indices).
-    const std::size_t a =
-        entry_before(heap_[c0 + 1], heap_[c0]) ? c0 + 1 : c0;
+    // Full fanout: a tournament whose indices are computed from the
+    // compare flags, so no selection can become a conditional jump.
+    const std::size_t a = c0 + entry_before(heap_[c0 + 1], heap_[c0]);
     const std::size_t b =
-        entry_before(heap_[c0 + 3], heap_[c0 + 2]) ? c0 + 3 : c0 + 2;
-    return entry_before(heap_[b], heap_[a]) ? b : a;
+        c0 + 2 + entry_before(heap_[c0 + 3], heap_[c0 + 2]);
+    const std::size_t take_b = entry_before(heap_[b], heap_[a]);
+    return a + ((b - a) & (0 - take_b));
   }
   std::size_t best = c0;  // ragged last group
   for (std::size_t c = c0 + 1; c < end; ++c) {

@@ -18,9 +18,9 @@ void DelayTracer::record_delay(Time delay, Time now) {
 }
 
 void DelayTracer::merge(const DelayTracer& other) {
+  quantiles_.merge(other.quantiles_);  // may throw: before any change
   all_.merge(other.all_);
   dropped_warmup_ += other.dropped_warmup_;
-  quantiles_.merge(other.quantiles_);
 }
 
 void DelayTracer::save(util::ByteWriter& w) const {

@@ -32,7 +32,9 @@ class DelayTracer {
   /// min/max — and therefore worst_case() — are exact; mean/variance are
   /// Welford-merged (Chan), so they can differ from a sequential
   /// accumulation by float rounding only.  The quantile sketch merges
-  /// exactly (bin counts add).
+  /// exactly (bin counts add).  Throws std::invalid_argument, leaving
+  /// this tracer unchanged, when the sketches' bin geometries differ (a
+  /// loaded blob carries its own).
   void merge(const DelayTracer& other);
 
   /// Marshal the measurement state — aggregate stats, warm-up drop

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <stdexcept>
 
 #include "util/bytes.hpp"
 
@@ -89,7 +90,13 @@ void LogHistogram::add(double x) {
 }
 
 void LogHistogram::merge(const LogHistogram& other) {
-  assert(counts_.size() == other.counts_.size());
+  // Bins only add up when they cover the same ranges; a sketch loaded
+  // from a blob can carry any geometry, so this is checked in every build.
+  if (counts_.size() != other.counts_.size() || lo_ != other.lo_ ||
+      log_ratio_ != other.log_ratio_) {
+    throw std::invalid_argument(
+        "LogHistogram::merge: bin geometry differs (bin count, lo or ratio)");
+  }
   stats_.merge(other.stats_);
   for (std::size_t i = 0; i < counts_.size(); ++i) {
     counts_[i] += other.counts_[i];

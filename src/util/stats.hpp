@@ -67,6 +67,8 @@ class LogHistogram {
                         double relative_error = 0.02);
 
   void add(double x);
+  /// Add `other`'s bins and stats.  Throws std::invalid_argument unless
+  /// both sketches have the same bin count, `lo` and bin ratio.
   void merge(const LogHistogram& other);
   void reset();
 

@@ -99,7 +99,8 @@ TEST(EngineAllocation, PushPopCancelChurnIsAllocationFree) {
   for (int i = 0; i < kOutstanding; i += 2) {
     handles[static_cast<std::size_t>(i)].cancel();
   }
-  while (!q.empty()) q.pop().fn();
+  Time now = 0.0;
+  while (!q.empty()) q.fire_next(now);
 
   const std::size_t before = g_allocations.load();
   const auto arenas_before = EventQueueTestPeer::arenas(q);
@@ -112,7 +113,7 @@ TEST(EngineAllocation, PushPopCancelChurnIsAllocationFree) {
     for (int i = 0; i < kOutstanding; i += 2) {
       handles[static_cast<std::size_t>(i)].cancel();
     }
-    while (!q.empty()) q.pop().fn();
+    while (!q.empty()) q.fire_next(now);
     clock += kOutstanding;
   }
   EXPECT_EQ(g_allocations.load(), before)

@@ -62,7 +62,8 @@ TEST(EventQueueClear, PreClearEpochHandleIsPermanentlyStale) {
   EXPECT_FALSE(old.pending());
   old.cancel();  // must be a no-op, not a cancellation of the new event
   EXPECT_TRUE(fresh.pending());
-  q.pop().fn();
+  Time now = 0.0;
+  q.fire_next(now);
   EXPECT_TRUE(fired);
 }
 
@@ -80,8 +81,11 @@ TEST(EventQueueClear, KeepsArenasWarm) {
   // The warmed queue is immediately usable and pops in (time, seq) order.
   q.push(5.0, [] {});
   q.push(3.0, [] {});
-  EXPECT_EQ(q.pop().time, 3.0);
-  EXPECT_EQ(q.pop().time, 5.0);
+  Time now = 0.0;
+  q.fire_next(now);
+  EXPECT_EQ(now, 3.0);
+  q.fire_next(now);
+  EXPECT_EQ(now, 5.0);
 }
 
 // ---- Simulator::reset --------------------------------------------------

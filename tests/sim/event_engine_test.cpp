@@ -1,8 +1,10 @@
 // Engine-internal semantics of the slot-based event queue: handle
 // generations across slot reuse, cancel-after-fire, sequence-space
-// exhaustion, dead-entry compaction, and the ordering bit-tricks.
+// exhaustion, dead-entry compaction, the ordering bit-tricks, and firing
+// a callable in place in its slot.
 
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <stdexcept>
 #include <vector>
@@ -10,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "sim/event_queue.hpp"
+#include "sim/simulator.hpp"
 
 namespace emcast::sim {
 
@@ -29,10 +32,22 @@ class EventQueueTestPeer {
 
 namespace {
 
+/// Fire the earliest live event; returns its time.
+Time fire_one(EventQueue& q) {
+  Time now = 0.0;
+  q.fire_next(now);
+  return now;
+}
+
+/// Fire every live event in order.
+void drain(EventQueue& q) {
+  while (!q.empty()) fire_one(q);
+}
+
 TEST(EventEngine, FiredSlotIsReusedWithFreshGeneration) {
   EventQueue q;
   auto h1 = q.push(1.0, [] {});
-  q.pop().fn();
+  fire_one(q);
   auto h2 = q.push(2.0, [] {});
   // Same storage slot, different generation.
   EXPECT_EQ(EventQueueTestPeer::slot_of(h1), EventQueueTestPeer::slot_of(h2));
@@ -45,13 +60,13 @@ TEST(EventEngine, FiredSlotIsReusedWithFreshGeneration) {
 TEST(EventEngine, StaleHandleCannotCancelSlotsNewOccupant) {
   EventQueue q;
   auto stale = q.push(1.0, [] {});
-  q.pop();  // fires; slot freed
+  fire_one(q);  // slot freed
   bool fired = false;
   auto live = q.push(2.0, [&] { fired = true; });
   stale.cancel();  // must be a no-op against the recycled slot
   EXPECT_TRUE(live.pending());
   ASSERT_FALSE(q.empty());
-  q.pop().fn();
+  fire_one(q);
   EXPECT_TRUE(fired);
 }
 
@@ -61,7 +76,7 @@ TEST(EventEngine, CancelAfterFireThenReuseManyTimes) {
   for (int round = 0; round < 100; ++round) {
     auto h = q.push(static_cast<double>(round), [] {});
     stale.push_back(h);
-    q.pop().fn();
+    fire_one(q);
     // Every retired handle stays inert no matter how often its slot
     // cycles.
     for (auto& s : stale) {
@@ -80,7 +95,7 @@ TEST(EventEngine, GenerationSpaceNearLimitStillOrdersCorrectly) {
   q.push(5.0, [&] { order.push_back(1); });
   auto h = q.push(5.0, [&] { order.push_back(2); });
   h.cancel();
-  while (!q.empty()) q.pop().fn();
+  drain(q);
   EXPECT_EQ(order, (std::vector<int>{0, 1}));
 }
 
@@ -108,9 +123,9 @@ TEST(EventEngine, MassCancelTriggersCompaction) {
   double prev = 0.0;
   int popped = 0;
   while (!q.empty()) {
-    auto fired = q.pop();
-    EXPECT_GT(fired.time, prev);
-    prev = fired.time;
+    const Time t = fire_one(q);
+    EXPECT_GT(t, prev);
+    prev = t;
     ++popped;
   }
   EXPECT_EQ(popped, 100);
@@ -124,7 +139,7 @@ TEST(EventEngine, SignedZerosAreATieBrokenBySchedulingOrder) {
   q.push(+0.0, [&] { order.push_back(0); });
   q.push(-0.0, [&] { order.push_back(1); });
   q.push(+0.0, [&] { order.push_back(2); });
-  while (!q.empty()) q.pop().fn();
+  drain(q);
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
 }
 
@@ -135,7 +150,7 @@ TEST(EventEngine, NegativeTimesOrderCorrectly) {
   for (double t : {3.5, -2.0, 0.0, -7.25, 1.0, -0.5}) {
     q.push(t, [&order, t] { order.push_back(t); });
   }
-  while (!q.empty()) q.pop().fn();
+  drain(q);
   EXPECT_EQ(order, (std::vector<double>{-7.25, -2.0, -0.5, 0.0, 1.0, 3.5}));
 }
 
@@ -148,7 +163,7 @@ TEST(EventEngine, InterleavedCancelKeepsDeterministicTieBreak) {
     handles.push_back(q.push(10.0, [&order, i] { order.push_back(i); }));
     if (i % 2 == 1) handles.back().cancel();
   }
-  while (!q.empty()) q.pop().fn();
+  drain(q);
   ASSERT_EQ(order.size(), 25u);
   for (std::size_t i = 1; i < order.size(); ++i) {
     EXPECT_LT(order[i - 1], order[i]);  // scheduling order, despite reuse
@@ -177,15 +192,15 @@ TEST(EventEngine, CaptureDestructorMayCancelItsOwnHandle) {
   // The slot must be cleanly reusable afterwards.
   bool fired = false;
   q.push(2.0, [&] { fired = true; });
-  while (!q.empty()) q.pop().fn();
+  drain(q);
   EXPECT_TRUE(fired);
 }
 
 TEST(EventEngine, DefaultedMoveGuardMayCancelDuringRelocation) {
   // The harder reentrancy case: a guard whose move constructor is
   // DEFAULTED, so the moved-from source still holds the handle pointer
-  // and its destructor — which runs inside the relocation that cancel()
-  // and pop() perform — calls cancel() mid-teardown.
+  // and its destructor — which runs inside cancel()'s teardown and after
+  // fire_next()'s call — calls cancel() mid-teardown.
   struct Guard {
     EventHandle* h;
     ~Guard() {
@@ -207,9 +222,9 @@ TEST(EventEngine, DefaultedMoveGuardMayCancelDuringRelocation) {
     EXPECT_TRUE(q.empty());
   }
   {
-    // Mid-pop reentrancy: disarm the local after the move, so only the
-    // stored capture holds the handle — its destructor then runs inside
-    // pop()'s relocation and cancels the event being extracted.
+    // Mid-fire reentrancy: disarm the local after the move, so only the
+    // stored capture holds the handle — its destructor then runs when
+    // fire_next() destroys the fired capture and cancels that event.
     EventQueue q;
     EventHandle handle;
     Guard local{&handle};
@@ -218,7 +233,7 @@ TEST(EventEngine, DefaultedMoveGuardMayCancelDuringRelocation) {
     ASSERT_TRUE(handle.pending());
     int popped = 0;
     while (!q.empty()) {
-      q.pop().fn();
+      fire_one(q);
       ++popped;
     }
     EXPECT_EQ(popped, 1);
@@ -281,14 +296,14 @@ TEST(EventEngine, ThrowingCopyDuringPushLeaksNoSlot) {
   // slot 0 rather than walking the slot space.
   auto h = q.push(1.0, [] {});
   EXPECT_EQ(EventQueueTestPeer::slot_of(h), 0u);
-  q.pop().fn();
+  fire_one(q);
 }
 
 TEST(EventEngine, DiscardableReturnValuesAreAccepted) {
   EventQueue q;
   int calls = 0;
   q.push(1.0, [&calls] { return ++calls; });  // non-void return, discarded
-  while (!q.empty()) q.pop().fn();
+  drain(q);
   EXPECT_EQ(calls, 1);
 }
 
@@ -300,10 +315,138 @@ TEST(EventEngine, LiveCountTracksPushPopCancel) {
   EXPECT_EQ(q.live_count(), 2u);
   a.cancel();
   EXPECT_EQ(q.live_count(), 1u);
-  q.pop();
+  fire_one(q);
   EXPECT_EQ(q.live_count(), 0u);
   EXPECT_TRUE(q.empty());
   (void)b;
+}
+
+// ---- firing in place ---------------------------------------------------
+
+TEST(EventEngine, FatCallbackGrowingTheSlabsKeepsItsOwnCapture) {
+  // The firing callable runs in its slab slot.  Pushing 1100 fat events
+  // from inside it crosses two 512-slot block boundaries (the slab table
+  // reallocates); the blocks themselves never move, so the running
+  // capture's address and bytes must be unchanged afterwards.
+  struct Filler {
+    std::uint64_t words[9];  // 72 bytes: a fat event
+    void operator()() const {}
+  };
+  struct Grower {
+    EventQueue* q;
+    const Grower** seen_at;
+    bool* intact;
+    unsigned char pattern[96];
+    void operator()() const {
+      const Grower* before = this;
+      unsigned char copy[sizeof(pattern)];
+      std::memcpy(copy, pattern, sizeof(pattern));
+      for (int i = 0; i < 1100; ++i) q->push(2.0 + i, Filler{});
+      *seen_at = before;
+      *intact = this == before &&
+                std::memcmp(copy, pattern, sizeof(pattern)) == 0;
+    }
+  };
+  static_assert(sizeof(Grower) > kCompactFnCapacity);
+  EventQueue q;
+  const Grower* seen_at = nullptr;
+  bool intact = false;
+  Grower g{&q, &seen_at, &intact, {}};
+  for (std::size_t i = 0; i < sizeof(g.pattern); ++i) {
+    g.pattern[i] = static_cast<unsigned char>(i * 7 + 1);
+  }
+  q.push(1.0, g);
+  EXPECT_EQ(fire_one(q), 1.0);
+  EXPECT_NE(seen_at, nullptr);
+  EXPECT_TRUE(intact);
+  EXPECT_EQ(q.live_count(), 1100u);
+  drain(q);
+}
+
+TEST(EventEngine, CallbackCancellingItsOwnHandleFiresOnceAndFreesOnce) {
+  EventQueue q;
+  EventHandle self;
+  int calls = 0;
+  bool pending_inside = true;
+  self = q.push(1.0, [&] {
+    ++calls;
+    pending_inside = self.pending();
+    self.cancel();  // already vacated: a no-op
+  });
+  drain(q);
+  EXPECT_EQ(calls, 1);
+  EXPECT_FALSE(pending_inside);
+  EXPECT_EQ(q.live_count(), 0u);
+  EXPECT_EQ(EventQueueTestPeer::dead_pending(q), 0u);
+  // Freed exactly once: two new events get distinct slots.
+  auto a = q.push(2.0, [] {});
+  auto b = q.push(3.0, [] {});
+  EXPECT_NE(EventQueueTestPeer::slot_of(a), EventQueueTestPeer::slot_of(b));
+  EXPECT_EQ(q.live_count(), 2u);
+  drain(q);
+}
+
+TEST(EventEngine, ThrowingCallbackReleasesItsSlotAndRunResumes) {
+  Simulator sim;
+  std::vector<int> order;
+  auto token = std::make_shared<int>(0);
+  const std::weak_ptr<int> watch = token;
+  sim.schedule_at(1.0, [&order] { order.push_back(1); });
+  const EventHandle thrower = sim.schedule_at(2.0, [token] {
+    throw std::runtime_error("callback failed");
+  });
+  sim.schedule_at(3.0, [&order] { order.push_back(3); });
+  sim.schedule_at(4.0, [&order] { order.push_back(4); });
+  token.reset();  // the capture holds the last reference now
+  EXPECT_THROW(sim.run(), std::runtime_error);
+  EXPECT_EQ(order, (std::vector<int>{1}));
+  EXPECT_EQ(sim.now(), 2.0);
+  EXPECT_FALSE(thrower.pending());
+  EXPECT_TRUE(watch.expired()) << "the thrower's capture was not destroyed";
+  // The thrower's slot was released last, so the free list hands it out
+  // next: the slot was freed on the way out.
+  const EventHandle next =
+      sim.schedule_at(5.0, [&order] { order.push_back(5); });
+  EXPECT_EQ(EventQueueTestPeer::slot_of(next),
+            EventQueueTestPeer::slot_of(thrower));
+  EXPECT_EQ(sim.run(), 3u);
+  EXPECT_EQ(order, (std::vector<int>{1, 3, 4, 5}));
+}
+
+TEST(EventEngine, CaptureDestructorCancellingManyCompactsAfterTheCall) {
+  // The fired capture's destructor runs after the call and cancels 75
+  // pending events: past the 64-record floor, so the pending set is
+  // compacted while the fired slot is still being torn down.
+  struct CancelOnDestroy {
+    std::vector<EventHandle>* victims;
+    explicit CancelOnDestroy(std::vector<EventHandle>* v) : victims(v) {}
+    CancelOnDestroy(CancelOnDestroy&& o) noexcept : victims(o.victims) {
+      o.victims = nullptr;
+    }
+    ~CancelOnDestroy() {
+      if (victims == nullptr) return;
+      for (EventHandle& h : *victims) h.cancel();
+    }
+    void operator()() const {}
+  };
+  EventQueue q;
+  std::vector<EventHandle> victims;
+  std::vector<int> order;
+  std::vector<int> survivors;
+  q.push(0.5, CancelOnDestroy{&victims});
+  for (int i = 0; i < 100; ++i) {
+    auto h = q.push(1.0 + i, [&order, i] { order.push_back(i); });
+    if (i % 4 == 0) {
+      survivors.push_back(i);
+    } else {
+      victims.push_back(h);
+    }
+  }
+  EXPECT_EQ(fire_one(q), 0.5);
+  EXPECT_EQ(q.live_count(), 25u);
+  EXPECT_LT(q.size_including_dead(), 100u) << "no compaction ran";
+  drain(q);
+  EXPECT_EQ(order, survivors);
 }
 
 }  // namespace

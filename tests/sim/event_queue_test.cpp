@@ -13,6 +13,12 @@
 namespace emcast::sim {
 namespace {
 
+/// Fire every live event in order.
+void drain(EventQueue& q) {
+  Time now = 0.0;
+  while (!q.empty()) q.fire_next(now);
+}
+
 TEST(EventQueue, EmptyInitially) {
   EventQueue q;
   EXPECT_TRUE(q.empty());
@@ -25,7 +31,7 @@ TEST(EventQueue, PopsInTimeOrder) {
   q.push(3.0, [&] { order.push_back(3); });
   q.push(1.0, [&] { order.push_back(1); });
   q.push(2.0, [&] { order.push_back(2); });
-  while (!q.empty()) q.pop().fn();
+  drain(q);
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
@@ -35,7 +41,7 @@ TEST(EventQueue, SimultaneousEventsFireInSchedulingOrder) {
   for (int i = 0; i < 10; ++i) {
     q.push(5.0, [&order, i] { order.push_back(i); });
   }
-  while (!q.empty()) q.pop().fn();
+  drain(q);
   for (int i = 0; i < 10; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
 }
 
@@ -59,8 +65,7 @@ TEST(EventQueue, CancelIsIdempotent) {
 TEST(EventQueue, CancelAfterFireIsNoop) {
   EventQueue q;
   auto h = q.push(1.0, [] {});
-  auto fired = q.pop();
-  fired.fn();
+  drain(q);
   EXPECT_FALSE(h.pending());
   h.cancel();  // must not crash or corrupt
   EXPECT_TRUE(q.empty());
@@ -83,7 +88,7 @@ TEST(EventQueue, CancelInMiddleSkipsOnlyThatEvent) {
   auto h = q.push(2.0, [&] { order.push_back(2); });
   q.push(3.0, [&] { order.push_back(3); });
   h.cancel();
-  while (!q.empty()) q.pop().fn();
+  drain(q);
   EXPECT_EQ(order, (std::vector<int>{1, 3}));
 }
 
@@ -111,9 +116,10 @@ TEST(EventQueue, LargeVolumeStaysSorted) {
   }
   double prev = -1.0;
   while (!q.empty()) {
-    auto e = q.pop();
-    EXPECT_GE(e.time, prev);
-    prev = e.time;
+    Time now = 0.0;
+    q.fire_next(now);
+    EXPECT_GE(now, prev);
+    prev = now;
   }
 }
 
@@ -139,14 +145,14 @@ struct Op {
   std::size_t victim = 0;  // kCancel: index into the handle log
 };
 
-/// Pop and run the earliest event; it appends its id to `trace`, and the
-/// fired time is patched in here.
-void fire_next(EventQueue& q, std::vector<TraceEvent>& trace) {
-  auto fired = q.pop();
+/// Run the earliest event; it appends its id to `trace`, and the fired
+/// time is patched in here.
+void fire_traced(EventQueue& q, std::vector<TraceEvent>& trace) {
   const std::size_t at = trace.size();
-  fired.fn();
+  Time now = 0.0;
+  q.fire_next(now);
   EXPECT_EQ(trace.size(), at + 1) << "event did not record itself";
-  trace.back().time = fired.time;
+  trace.back().time = now;
 }
 
 std::vector<TraceEvent> run_queue(const std::vector<Op>& ops) {
@@ -159,19 +165,19 @@ std::vector<TraceEvent> run_queue(const std::vector<Op>& ops) {
       case Op::kPush: {
         const int id = next_id++;
         handles.push_back(q.push(op.time, [&trace, id] {
-          trace.push_back(TraceEvent{0.0, id});  // time patched by fire_next
+          trace.push_back(TraceEvent{0.0, id});  // time patched by fire_traced
         }));
         break;
       }
       case Op::kPop:
-        if (!q.empty()) fire_next(q, trace);
+        if (!q.empty()) fire_traced(q, trace);
         break;
       case Op::kCancel:
         if (!handles.empty()) handles[op.victim % handles.size()].cancel();
         break;
     }
   }
-  while (!q.empty()) fire_next(q, trace);
+  while (!q.empty()) fire_traced(q, trace);
   return trace;
 }
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <stdexcept>
 #include <vector>
 
 #include "util/bytes.hpp"
@@ -134,6 +136,30 @@ TEST(DelayTracer, SaveLoadIsExactAndTruncatedBlobThrows) {
     util::ByteReader cut(blob.data(), keep);
     EXPECT_THROW(victim.load(cut), util::ByteRangeError) << keep;
   }
+}
+
+TEST(DelayTracer, MergingASketchOfOtherGeometryThrows) {
+  // A blob whose sketch has 73 bins (the default has hundreds): bins of
+  // ratio 1.04 from 1 us up to 1.04^72.5 us.
+  const util::LogHistogram narrow(1e-6, 1e-6 * std::pow(1.04, 72.5), 0.02);
+  ASSERT_EQ(narrow.bin_count(), 73u);
+  std::vector<std::uint8_t> blob;
+  util::ByteWriter w(blob);
+  util::OnlineStats{}.save(w);  // DelayTracer::save's layout
+  w.u64(0);
+  narrow.save(w);
+
+  DelayTracer loaded;
+  util::ByteReader r(blob);
+  loaded.load(r);
+  ASSERT_TRUE(r.done());
+  DelayTracer t;
+  t.record_delay(0.25, 1.0);
+  EXPECT_THROW(t.merge(loaded), std::invalid_argument);
+  EXPECT_THROW(loaded.merge(t), std::invalid_argument);
+  // The failed merge left the target as it was.
+  EXPECT_EQ(t.all().count(), 1u);
+  EXPECT_EQ(t.quantile(1.0), 0.25);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include "util/stats.hpp"
 
 #include <cmath>
+#include <stdexcept>
 
 #include <gtest/gtest.h>
 
@@ -117,6 +118,19 @@ TEST(LogHistogram, MergeIsOrderIndependentAndExact) {
   EXPECT_EQ(ba.bins(), whole.bins());
   EXPECT_EQ(ab.quantile(0.5), whole.quantile(0.5));
   EXPECT_EQ(ba.quantile(0.99), whole.quantile(0.99));
+}
+
+TEST(LogHistogram, MergeRejectsOtherLoOrRatioAtEqualBinCount) {
+  LogHistogram base;  // 1 us .. 100 s at 2%
+  LogHistogram shifted(2e-6, 200.0, 0.02);      // same ratio, other lo
+  LogHistogram finer(1e-6, 100.0, 0.0200001);   // same lo, other ratio
+  ASSERT_EQ(shifted.bin_count(), base.bin_count());
+  ASSERT_EQ(finer.bin_count(), base.bin_count());
+  EXPECT_THROW(base.merge(shifted), std::invalid_argument);
+  EXPECT_THROW(base.merge(finer), std::invalid_argument);
+  EXPECT_THROW(base.merge(LogHistogram(1e-6, 10.0, 0.02)),
+               std::invalid_argument);  // fewer bins
+  EXPECT_NO_THROW(base.merge(LogHistogram{}));
 }
 
 TEST(LogHistogram, MemoryIsBinsNotSamples) {
