@@ -25,9 +25,11 @@
 #include "core/mux.hpp"
 #include "core/token_bucket_regulator.hpp"
 #include "overlay/dsct.hpp"
+#include "overlay/multigroup.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/simulator.hpp"
 #include "topology/backbone.hpp"
+#include "topology/hierarchical.hpp"
 #include "topology/host_attachment.hpp"
 #include "topology/shortest_path.hpp"
 #include "util/rng.hpp"
@@ -279,6 +281,30 @@ void BM_DsctBuild665(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DsctBuild665);
+
+// Overlay build at scale: K = 3 DSCT trees, then the capacity-aware DSCT
+// trees, over the transit-stub underlay (64 routers at 10^4 hosts, the
+// ScaleDeterminism smoke; 512 at 10^5, the scale100k underlay).  The
+// underlay is built once, outside the timed loop.
+void BM_MultiGroupBuildHier(benchmark::State& state) {
+  topology::HierarchicalConfig hc;
+  hc.hosts = static_cast<std::size_t>(state.range(0));
+  hc.routers = hc.hosts <= 10000 ? 64 : 512;
+  const auto net = topology::make_hierarchical(hc);
+  for (auto _ : state) {
+    for (const overlay::TreeScheme scheme :
+         {overlay::TreeScheme::Dsct, overlay::TreeScheme::CapacityAwareDsct}) {
+      overlay::MultiGroupConfig mc;
+      mc.scheme = scheme;
+      const overlay::MultiGroupNetwork mg(net, mc);
+      benchmark::DoNotOptimize(mg.tree(0).height_hops());
+    }
+  }
+}
+BENCHMARK(BM_MultiGroupBuildHier)
+    ->Arg(10000)
+    ->Arg(100000)
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

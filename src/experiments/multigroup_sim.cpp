@@ -232,6 +232,14 @@ MultiGroupSimResult run_multigroup(const MultiGroupSimConfig& config,
         "run_multigroup: warmup must be < duration (nothing would be "
         "measured)");
   }
+  // Every group spans every host with its own tree and flow, so a group
+  // count outside [1, hosts] is nonsense; a huge one used to reach
+  // build_trees and build trees until the OOM killer stepped in.
+  if (config.groups < 1 ||
+      static_cast<std::size_t>(config.groups) > config.hosts) {
+    throw std::invalid_argument(
+        "run_multigroup: groups must be in [1, hosts]");
+  }
   if (config.engine != sim::EngineKind::Single &&
       config.shards > config.hosts) {
     throw std::invalid_argument(

@@ -47,52 +47,62 @@ std::vector<Cluster> cluster_once(const std::vector<std::size_t>& ids,
   if (cfg.min_size < 2 || cfg.max_size < cfg.min_size) {
     throw std::invalid_argument("cluster_once: bad size range");
   }
-  std::vector<std::size_t> unassigned = ids;
+  // One buffer: the unassigned members are its suffix [first, end), in
+  // the order the cluster-by-cluster greedy pass leaves them.  Each
+  // cluster keys every remaining member once by its RTT to the seed, so
+  // the sort compares plain numbers instead of calling the oracle twice
+  // per comparison.  key == rtt(seed, id) exactly, so every comparison —
+  // and therefore every move partial_sort makes — is what sorting the
+  // ids through the oracle would give.
+  struct Keyed {
+    Time key;
+    std::size_t id;
+  };
+  std::vector<Keyed> buf(ids.size());
+  for (std::size_t i = 0; i < ids.size(); ++i) buf[i] = Keyed{0.0, ids[i]};
   std::vector<Cluster> clusters;
-  while (!unassigned.empty()) {
+  auto first = buf.begin();
+  while (first != buf.end()) {
+    const auto remaining = static_cast<std::size_t>(buf.end() - first);
     // Paper rule: if fewer than max_size+1 members remain they form one
     // final cluster; otherwise draw a size from [min_size, max_size].
     std::size_t want;
-    if (unassigned.size() <= cfg.max_size) {
-      want = unassigned.size();
+    if (remaining <= cfg.max_size) {
+      want = remaining;
     } else {
       want = static_cast<std::size_t>(rng.uniform_int(
           static_cast<std::int64_t>(cfg.min_size),
           static_cast<std::int64_t>(cfg.max_size)));
       // Never leave a single orphan behind (it could not form a cluster).
-      if (unassigned.size() - want == 1) ++want;
+      if (remaining - want == 1) ++want;
     }
-    // Seed selection.
-    std::size_t seed_pos = 0;
-    if (cfg.random_seeds && unassigned.size() > 1) {
-      seed_pos = static_cast<std::size_t>(rng.uniform_int(
-          0, static_cast<std::int64_t>(unassigned.size()) - 1));
+    // Seed selection: rotate the drawn seed to the front of the suffix,
+    // keeping the others in order.
+    if (cfg.random_seeds && remaining > 1) {
+      const auto seed_pos = static_cast<std::ptrdiff_t>(rng.uniform_int(
+          0, static_cast<std::int64_t>(remaining) - 1));
+      std::rotate(first, first + seed_pos, first + seed_pos + 1);
     }
-    const std::size_t seed = unassigned[seed_pos];
-    // Sort remaining by RTT to the seed and take the closest (want−1).
-    std::vector<std::size_t> rest;
-    rest.reserve(unassigned.size() - 1);
-    for (std::size_t i = 0; i < unassigned.size(); ++i) {
-      if (i != seed_pos) rest.push_back(unassigned[i]);
-    }
-    const std::size_t take = std::min(want - 1, rest.size());
-    std::partial_sort(rest.begin(),
-                      rest.begin() + static_cast<std::ptrdiff_t>(take),
-                      rest.end(), [&](std::size_t a, std::size_t b) {
-                        return rtt(seed, a) < rtt(seed, b);
+    const std::size_t seed = first->id;
+    // Sort the rest by RTT to the seed and take the closest (want−1).
+    const auto rest = first + 1;
+    for (auto it = rest; it != buf.end(); ++it) it->key = rtt(seed, it->id);
+    const auto take =
+        static_cast<std::ptrdiff_t>(std::min(want - 1, remaining - 1));
+    std::partial_sort(rest, rest + take, buf.end(),
+                      [](const Keyed& a, const Keyed& b) {
+                        return a.key < b.key;
                       });
     Cluster c;
-    c.members.push_back(seed);
-    c.members.insert(c.members.end(), rest.begin(),
-                     rest.begin() + static_cast<std::ptrdiff_t>(take));
+    c.members.reserve(static_cast<std::size_t>(take) + 1);
+    for (auto it = first; it != rest + take; ++it) c.members.push_back(it->id);
     c.core = elect_core(c.members, rtt, cfg.budget);
     if (cfg.budget != nullptr) {
       auto& left = (*cfg.budget)[c.core];
       left -= std::min(left, c.members.size() - 1);
     }
     clusters.push_back(std::move(c));
-    unassigned.assign(rest.begin() + static_cast<std::ptrdiff_t>(take),
-                      rest.end());
+    first = rest + take;
   }
   return clusters;
 }

@@ -298,5 +298,38 @@ TEST(MultiGroupConfigValidation, RejectsBadFailureKnobs) {
   }
 }
 
+TEST(MultiGroupConfigValidation, GroupCountMustLieInOneToHosts) {
+  // A group count past the host count used to reach the tree build and
+  // grow until the OOM killer ended the run; 0 and negatives reached the
+  // overlay's own check only after the underlay was built.
+  MultiGroupSimConfig c;
+  c.hosts = 24;
+  c.duration = 0.05;
+  c.warmup = 0.0;
+  const struct {
+    int groups;
+    bool accepted;
+  } rows[] = {{0, false},
+              {-1, false},
+              {static_cast<int>(c.hosts) + 1, false},
+              {static_cast<int>(c.hosts), true},
+              {1, true}};
+  for (const auto& row : rows) {
+    SCOPED_TRACE(row.groups);
+    c.groups = row.groups;
+    if (row.accepted) {
+      EXPECT_GT(run_multigroup(c).deliveries, 0u);
+      continue;
+    }
+    try {
+      run_multigroup(c);
+      ADD_FAILURE() << "groups must be rejected";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("groups"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 }  // namespace
 }  // namespace emcast::experiments

@@ -1,7 +1,9 @@
 #include "overlay/cluster_builder.hpp"
 
+#include <algorithm>
 #include <numeric>
 #include <set>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -90,6 +92,165 @@ TEST(ClusterOnce, RejectsBadSizeRange) {
   ClusterConfig cfg2{5, 3, false};
   EXPECT_THROW(cluster_once(iota_ids(5), line_rtt(), cfg2, rng),
                std::invalid_argument);
+}
+
+// ----------------------------------------------------------------------
+// Equivalence with the oracle-comparator clustering.  cluster_once keys
+// each remaining member once per cluster; the reference below is the
+// earlier form, which sorted ids through the RTT oracle on every
+// comparison and rebuilt the unassigned list per cluster.  Both must
+// return the same clusters and cores, leave the same budget, and consume
+// the RNG identically.
+
+std::size_t reference_elect_core(const std::vector<std::size_t>& members,
+                                 const RttFn& rtt,
+                                 const std::vector<std::size_t>* budget) {
+  const std::size_t need = members.size() - 1;
+  std::size_t best = members.front();
+  Time best_cost = kTimeInfinity;
+  bool found = false;
+  for (std::size_t candidate : members) {
+    if (budget != nullptr && (*budget)[candidate] < need) continue;
+    Time cost = 0;
+    for (std::size_t other : members) {
+      if (other != candidate) cost += rtt(candidate, other);
+    }
+    if (cost < best_cost) {
+      best_cost = cost;
+      best = candidate;
+      found = true;
+    }
+  }
+  if (!found && budget != nullptr) {
+    best = *std::max_element(members.begin(), members.end(),
+                             [&](std::size_t a, std::size_t b) {
+                               return (*budget)[a] < (*budget)[b];
+                             });
+  }
+  return best;
+}
+
+std::vector<Cluster> reference_cluster_once(const std::vector<std::size_t>& ids,
+                                            const RttFn& rtt,
+                                            const ClusterConfig& cfg,
+                                            util::Rng& rng) {
+  std::vector<std::size_t> unassigned = ids;
+  std::vector<Cluster> clusters;
+  while (!unassigned.empty()) {
+    std::size_t want;
+    if (unassigned.size() <= cfg.max_size) {
+      want = unassigned.size();
+    } else {
+      want = static_cast<std::size_t>(rng.uniform_int(
+          static_cast<std::int64_t>(cfg.min_size),
+          static_cast<std::int64_t>(cfg.max_size)));
+      if (unassigned.size() - want == 1) ++want;
+    }
+    std::size_t seed_pos = 0;
+    if (cfg.random_seeds && unassigned.size() > 1) {
+      seed_pos = static_cast<std::size_t>(rng.uniform_int(
+          0, static_cast<std::int64_t>(unassigned.size()) - 1));
+    }
+    const std::size_t seed = unassigned[seed_pos];
+    std::vector<std::size_t> rest;
+    rest.reserve(unassigned.size() - 1);
+    for (std::size_t i = 0; i < unassigned.size(); ++i) {
+      if (i != seed_pos) rest.push_back(unassigned[i]);
+    }
+    const std::size_t take = std::min(want - 1, rest.size());
+    std::partial_sort(rest.begin(),
+                      rest.begin() + static_cast<std::ptrdiff_t>(take),
+                      rest.end(), [&](std::size_t a, std::size_t b) {
+                        return rtt(seed, a) < rtt(seed, b);
+                      });
+    Cluster c;
+    c.members.push_back(seed);
+    c.members.insert(c.members.end(), rest.begin(),
+                     rest.begin() + static_cast<std::ptrdiff_t>(take));
+    c.core = reference_elect_core(c.members, rtt, cfg.budget);
+    if (cfg.budget != nullptr) {
+      auto& left = (*cfg.budget)[c.core];
+      left -= std::min(left, c.members.size() - 1);
+    }
+    clusters.push_back(std::move(c));
+    unassigned.assign(rest.begin() + static_cast<std::ptrdiff_t>(take),
+                      rest.end());
+  }
+  return clusters;
+}
+
+TEST(ClusterOnce, MatchesTheOracleComparatorReference) {
+  // Tie-heavy metrics are where a keyed sort could diverge from the
+  // oracle sort if it compared anything but the same values: a line
+  // with three members per position, a constant metric, and a hashed
+  // metric with few distinct values.  Ids come shuffled so buffer order
+  // and id order differ.
+  const std::vector<std::pair<std::string, RttFn>> metrics{
+      {"line_dup",
+       [](std::size_t a, std::size_t b) {
+         const std::size_t pa = a / 3;
+         const std::size_t pb = b / 3;
+         return pa > pb ? static_cast<Time>(pa - pb)
+                        : static_cast<Time>(pb - pa);
+       }},
+      {"constant", [](std::size_t, std::size_t) { return 1.0; }},
+      {"hashed", [](std::size_t a, std::size_t b) {
+         const std::size_t lo = std::min(a, b);
+         const std::size_t hi = std::max(a, b);
+         return static_cast<Time>((lo * 2654435761u + hi * 40503u) % 5);
+       }}};
+  const ClusterConfig ranges[] = {{3, 8, false}, {2, 2, false}, {3, 3, false}};
+  for (const auto& [name, rtt] : metrics) {
+    for (const ClusterConfig& range : ranges) {
+      for (const bool random_seeds : {false, true}) {
+        for (const bool budgeted : {false, true}) {
+          for (const std::size_t n : {1u, 2u, 9u, 10u, 57u, 301u}) {
+            SCOPED_TRACE(name + " min=" + std::to_string(range.min_size) +
+                         " max=" + std::to_string(range.max_size) +
+                         " random=" + std::to_string(random_seeds) +
+                         " budget=" + std::to_string(budgeted) +
+                         " n=" + std::to_string(n));
+            std::vector<std::size_t> ids = iota_ids(n);
+            util::Rng shuffle(n * 7 + 1);
+            for (std::size_t i = n; i > 1; --i) {
+              std::swap(ids[i - 1], ids[static_cast<std::size_t>(
+                                        shuffle.uniform_int(
+                                            0, static_cast<std::int64_t>(i) -
+                                                   1))]);
+            }
+            // A small shared budget: some elections fall back to the
+            // most-budget member, and the second pass sees the first
+            // pass's spending, as the K trees of one network do.
+            std::vector<std::size_t> budget_new(n, 4);
+            std::vector<std::size_t> budget_ref(n, 4);
+            ClusterConfig cfg_new = range;
+            ClusterConfig cfg_ref = range;
+            cfg_new.random_seeds = cfg_ref.random_seeds = random_seeds;
+            cfg_new.budget = budgeted ? &budget_new : nullptr;
+            cfg_ref.budget = budgeted ? &budget_ref : nullptr;
+            util::Rng rng_new(n + 3);
+            util::Rng rng_ref(n + 3);
+            for (int pass = 0; pass < 2; ++pass) {
+              const auto got = cluster_once(ids, rtt, cfg_new, rng_new);
+              const auto want =
+                  reference_cluster_once(ids, rtt, cfg_ref, rng_ref);
+              ASSERT_EQ(got.size(), want.size()) << "pass " << pass;
+              for (std::size_t c = 0; c < got.size(); ++c) {
+                EXPECT_EQ(got[c].members, want[c].members)
+                    << "pass " << pass << " cluster " << c;
+                EXPECT_EQ(got[c].core, want[c].core)
+                    << "pass " << pass << " cluster " << c;
+              }
+            }
+            EXPECT_EQ(budget_new, budget_ref);
+            for (int i = 0; i < 4; ++i) {
+              EXPECT_EQ(rng_new.next(), rng_ref.next()) << "RNG state";
+            }
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(Hierarchy, TerminatesAtSingleTop) {

@@ -1,6 +1,7 @@
-// Proves the zero-steady-state-allocation property of the event engine:
-// after a warm-up that grows the slot slab and heap to the working-set
-// size, a sustained push/pop/cancel churn performs no heap allocation at
+// Proves the zero-steady-state-allocation property of the event engine
+// and of the regulated per-host pipeline on top of it: after a warm-up
+// that grows the slot slab, the heap and the model's queues to the
+// working-set size, sustained traffic performs no heap allocation at
 // all.  This test replaces the global operator new/delete with counting
 // versions, which is why it lives in its own binary (see CMakeLists.txt).
 
@@ -12,6 +13,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/adaptive_host.hpp"
+#include "core/mux.hpp"
 #include "overlay/repair.hpp"
 #include "sim/context.hpp"
 #include "sim/event_queue.hpp"
@@ -498,6 +501,106 @@ TEST(EngineAllocation, SimulatorEventLoopIsAllocationFree) {
   EXPECT_EQ(remaining, 0);
   EXPECT_EQ(g_allocations.load(), before)
       << "simulator event loop steady state must not allocate";
+}
+
+/// Periodic multi-packet bursts into one pipeline stage: every `period`,
+/// `per_flow` packets of each of `flows` flows arrive at once (flow f in
+/// MUX class f), so the stage's queues fill and drain every period.
+template <class Stage>
+struct BurstFeed {
+  Simulator* sim;
+  Stage* stage;
+  std::uint64_t* next_id;
+  int flows;
+  int per_flow;
+  Time period;
+  void operator()() const {
+    for (int i = 0; i < per_flow; ++i) {
+      for (int f = 0; f < flows; ++f) {
+        Packet p;
+        p.id = (*next_id)++;
+        p.flow = f;
+        p.priority = static_cast<std::uint8_t>(f);
+        p.size = 8000;
+        p.created = sim->now();
+        stage->offer(p);
+      }
+    }
+    sim->schedule_in(period, *this);
+  }
+};
+
+// Warm-up and measured spans of the pipeline proofs (simulated seconds).
+constexpr Time kPipelineWarmup = 10.0;
+constexpr Time kPipelineMeasured = 100.0;
+
+TEST(EngineAllocation, AdaptiveHostSteadyStateIsAllocationFree) {
+  // The regulated per-host pipeline in each control model: (σ, ρ) token
+  // buckets, the (σ, ρ, λ) bank and the adaptive controller, all feeding
+  // the general MUX.  Two flows in two priority classes each burst 3
+  // packets (exactly σ) every 10 ms at ρ̄ = 0.6, so every regulator queue
+  // and both MUX classes fill and drain each period.  After the warm-up, 100 more simulated seconds
+  // must not allocate: the queues keep their ring capacity.
+  for (const core::ControlMode mode :
+       {core::ControlMode::SigmaRho, core::ControlMode::SigmaRhoLambda,
+        core::ControlMode::Adaptive}) {
+    SCOPED_TRACE(static_cast<int>(mode));
+    constexpr Time kPeriod = 0.01;
+    core::AdaptiveHostConfig hc;
+    hc.flows = {traffic::FlowSpec{0, 24000, 24000 / kPeriod, 0},
+                traffic::FlowSpec{1, 24000, 24000 / kPeriod, 1}};
+    hc.capacity = 2 * (24000 / kPeriod) / 0.6;
+    hc.mode = mode;
+    hc.mux_discipline = core::MuxDiscipline::PriorityLifoLowest;
+    Simulator sim;
+    std::uint64_t delivered = 0;
+    core::AdaptiveHost host(sim, hc, [&delivered](Packet) { ++delivered; });
+    std::uint64_t next_id = 0;
+    sim.schedule_in(kPeriod, BurstFeed<core::AdaptiveHost>{
+                                 &sim, &host, &next_id, 2, 3, kPeriod});
+    sim.run(kPipelineWarmup);
+    const std::uint64_t warm_delivered = delivered;
+    const std::uint64_t warm_switches = host.mode_switches();
+    ASSERT_GT(warm_delivered, 0u);
+
+    const std::size_t before = g_allocations.load();
+    sim.run(kPipelineWarmup + kPipelineMeasured);
+    EXPECT_EQ(g_allocations.load(), before)
+        << "regulated host steady state must not allocate";
+    EXPECT_GT(delivered - warm_delivered, 50000u)
+        << "the measured span must carry the full offered load";
+    EXPECT_EQ(host.mode_switches(), warm_switches)
+        << "the measured span must be one steady model";
+  }
+}
+
+TEST(EngineAllocation, MuxSteadyStateIsAllocationFree) {
+  // A bare general MUX in each discipline, fed bursts of 3 packets in
+  // each of 3 priority classes every 10 ms at 72% load: the classes queue
+  // behind each other, and under PriorityLifoLowest the lowest class is
+  // served newest-first through pop_newest_before.
+  for (const core::MuxDiscipline discipline :
+       {core::MuxDiscipline::PriorityFifo,
+        core::MuxDiscipline::PriorityLifoLowest}) {
+    SCOPED_TRACE(static_cast<int>(discipline));
+    constexpr Time kPeriod = 0.01;
+    Simulator sim;
+    std::uint64_t delivered = 0;
+    core::Mux mux(sim, 9 * 8000 / kPeriod / 0.72,
+                  [&delivered](Packet) { ++delivered; }, discipline);
+    std::uint64_t next_id = 0;
+    sim.schedule_in(kPeriod,
+                    BurstFeed<core::Mux>{&sim, &mux, &next_id, 3, 3, kPeriod});
+    sim.run(kPipelineWarmup);
+    const std::uint64_t warm_delivered = delivered;
+    ASSERT_GT(mux.peak_backlog_bits(), 8000.0) << "the classes must queue";
+
+    const std::size_t before = g_allocations.load();
+    sim.run(kPipelineWarmup + kPipelineMeasured);
+    EXPECT_EQ(g_allocations.load(), before)
+        << "MUX steady state must not allocate";
+    EXPECT_GT(delivered - warm_delivered, 80000u);
+  }
 }
 
 }  // namespace
